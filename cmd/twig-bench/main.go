@@ -37,11 +37,11 @@ import (
 
 // Result is one benchmark measurement.
 type Result struct {
-	Name        string             `json:"name"`
-	N           int                `json:"n"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
+	Name        string  `json:"name"`
+	N           int     `json:"n"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
 	// Dispatch annotates GEMM results with the path the shape takes
 	// (streaming/tiled), the kernel flavour and the parallel gate.
 	Dispatch string             `json:"dispatch,omitempty"`
@@ -321,13 +321,10 @@ func fleetSweep(benchtime string) []Result {
 // eliminated.
 var lossSink float64
 
-// trainSweep measures the grouped training path: one warm Observe (one
-// gradient step) per fleet member, as S independent per-agent train
-// steps versus one pooled flush that stacks every member's minibatch
-// forward, TD-target forward and backward GEMMs into block-diagonal
-// grouped calls with fused flat Adam commits. Both paths take identical
-// gradient steps (the pooled path is bit-identical per member), so the
-// ratio isolates the batching win.
+// trainSweep measures fleet training: one warm Observe (one gradient
+// step) per fleet member, S independent per-agent train steps. Pooled
+// members train through the same Agent.Observe, so there is no separate
+// pooled row.
 func trainSweep(benchtime string) []Result {
 	spec := bdq.Spec{
 		StateDim:     2 * int(pmc.NumCounters),
@@ -368,40 +365,8 @@ func trainSweep(benchtime string) []Result {
 				}
 			}
 		})
-		soloPerAgent := soloRes.NsPerOp / float64(S)
-		soloRes.Metrics = map[string]float64{"ns_per_agent_train": soloPerAgent}
+		soloRes.Metrics = map[string]float64{"ns_per_agent_train": soloRes.NsPerOp / float64(S)}
 		results = append(results, soloRes)
-
-		pool := bdq.NewAgentPool()
-		pooled := make([]*bdq.PooledAgent, S)
-		for i := range pooled {
-			pooled[i] = pool.Attach(bdq.NewAgent(cfg(i)))
-			for j := 0; j < 2*8; j++ {
-				lossSink = pooled[i].Observe(tr)
-			}
-		}
-		flushAll := func() {
-			for s := 0; s < S; s++ {
-				pooled[s].QueueObserve(tr)
-			}
-			pool.FlushStep()
-			for s := 0; s < S; s++ {
-				lossSink = pooled[s].TakeLoss()
-			}
-		}
-		flushAll() // warm the stacked training workspace
-		pooledRes := runBest(3, fmt.Sprintf("fleet/train_pooled_s%d", S), benchtime, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				flushAll()
-			}
-		})
-		pooledPerAgent := pooledRes.NsPerOp / float64(S)
-		pooledRes.Metrics = map[string]float64{
-			"ns_per_agent_train": pooledPerAgent,
-			"speedup_vs_solo":    soloPerAgent / pooledPerAgent,
-		}
-		results = append(results, pooledRes)
 	}
 	return results
 }
@@ -466,7 +431,9 @@ func benchAgentObserve(benchtime string) Result {
 
 // benchFig5Cell times one quick-scale Fig. 5 control cell (masstree at
 // 50% load under Twig-S) end to end and reports simulated control
-// intervals per wall-clock second. Short mode truncates the run.
+// intervals per wall-clock second, plus the heap allocations and bytes
+// per interval measured over the same timed run (a runtime.MemStats
+// delta). Short mode truncates the run.
 func benchFig5Cell(short bool) Result {
 	sc := experiments.QuickScale()
 	if short {
@@ -478,6 +445,8 @@ func benchFig5Cell(short bool) Result {
 	prof := service.MustLookup("masstree")
 	srv := experiments.NewServer(1, "masstree")
 	c := experiments.NewTwig(srv, sc, 1, "masstree")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
 	experiments.Run(experiments.RunConfig{
 		Server:       srv,
@@ -487,10 +456,13 @@ func benchFig5Cell(short bool) Result {
 		SummaryFromS: sc.LearnS,
 	})
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	return Result{
-		Name:    "fig5/quick_cell",
-		N:       seconds,
-		NsPerOp: float64(elapsed.Nanoseconds()) / float64(seconds),
+		Name:        "fig5/quick_cell",
+		N:           seconds,
+		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(seconds),
+		AllocsPerOp: int64(after.Mallocs-before.Mallocs) / int64(seconds),
+		BytesPerOp:  int64(after.TotalAlloc-before.TotalAlloc) / int64(seconds),
 		Metrics: map[string]float64{
 			"intervals_per_sec": float64(seconds) / elapsed.Seconds(),
 		},

@@ -5,87 +5,66 @@ import (
 	"sync"
 
 	"github.com/twig-sched/twig/internal/mat"
-	"github.com/twig-sched/twig/internal/nn"
 	"github.com/twig-sched/twig/internal/replay"
 )
 
-// AgentPool batches the network compute of many agents that share one
+// AgentPool batches the action selection of many agents that share one
 // architecture. Each member keeps its own weights, replay buffer, RNG
-// stream and step counters — decision-making stays per-agent — but the
-// eval-mode forwards (action selection and both TD-target sweeps) run
-// as one block-diagonal grouped GEMM over all queued members, against
-// persistent packed weight panels instead of the streaming batch-1
-// kernels.
+// stream, step counters and trainer — Observe runs the member's own
+// Agent.Observe — but the batch-1 eval forwards of every queued
+// selection run as one block-diagonal grouped GEMM per layer position,
+// against persistent packed weight panels instead of the streaming
+// batch-1 kernels.
 //
 // The pooled path is bit-identical to the per-agent one: the grouped
-// kernels honour mat's ascending-k accumulation contract band by band,
-// per-agent RNG streams are independent so cross-agent phase
-// interleaving reorders no agent's own draws, and the train-mode
-// forward/backward (whose Dropout draws must stay in-stream) remains
-// strictly per-agent. TestPoolBitIdentical* pins this.
+// kernel honours mat's ascending-k accumulation contract row by row,
+// and per-agent RNG streams are independent, so batching the forwards
+// reorders no agent's own draws. TestPoolBitIdentical* pins this.
 //
-// Parameters live in a pooled nn.Arena: admit maps to slot alloc +
-// adopt, drain maps to detach + release, so fleet membership churn
-// reuses slabs deterministically. All methods are safe for concurrent
-// use; the pool's mutex serialises flushes against attach/close.
+// All methods are safe for concurrent use; the pool's mutex serialises
+// flushes and member training against attach/close.
 type AgentPool struct {
 	mu      sync.Mutex
 	members []*PooledAgent
 
-	// template, fixed by the first Attach
-	spec  Spec
-	batch int // minibatch rows, uniform across members
+	spec Spec // template, fixed by the first Attach
 
-	arena *nn.Arena
 	stack map[int]*stackWS // keyed by stacked row count
 
-	selScratch  []*PooledAgent // flushSelectLocked's member list, reused
-	warmScratch []*PooledAgent // flushTrainLocked's stored-and-warm list, reused
-	actScratch  []*PooledAgent // flushTrainLocked's per-round active list, reused
+	selScratch []*PooledAgent // flushSelectLocked's member list, reused
 }
 
-// PooledAgent is an Agent whose batched operations route through an
+// PooledAgent is an Agent whose action selection routes through an
 // AgentPool. The embedded Agent's checkpoint, transfer and inspection
-// API is unchanged; Observe/SelectActions/SelectGreedy are overridden
-// with pooled equivalents, and the Queue*/Take* pairs expose the
-// two-phase form fleet engines use to batch across members.
+// API is unchanged; Observe/SelectActions/SelectGreedy are overridden to
+// run under the pool lock, and QueueSelect/TakeActions expose the
+// two-phase form fleet engines use to batch selection across members.
 type PooledAgent struct {
 	*Agent
-	pool       *AgentPool
-	slotOnline int
-	slotTarget int
-	onlinePack *netPack
-	targetPack *netPack
-	closed     bool
+	pool   *AgentPool
+	pack   *netPack
+	closed bool
 
-	// cached arena slab views of the online slot, for the fused flat
-	// optimiser pass (valid until Close releases the slot)
-	onlineVal, onlineGrad, onlineM, onlineV []float64
-
-	// queued work and results, guarded by pool.mu
-	hasObs    bool
-	obs       replay.Transition
+	// queued selection and its result, guarded by pool.mu
 	hasSel    bool
 	selState  []float64
 	selGreedy bool
 	acts      [][]int
-	actsBuf   [2][][]int // double-buffered action storage, flipped per select flush
+	actsBuf   [2][][]int // double-buffered action storage, flipped per selection
 	actsFlip  int
-	loss      float64
 }
 
-// netPack caches one network's grouped-GEMM operands, keyed by the
-// network's weight epoch so any parameter mutation forces a rebuild.
-// The packed panels themselves live on the dense layers (refreshed by
-// Network.ensurePacks), shared with the network's own Forward — groups
-// holds, per Denses() position, the ready-made operand (panels + bias)
-// so the per-layer stacking loop is a struct copy instead of a lookup.
+// netPack caches the online network's grouped-GEMM operands, keyed by
+// the network's weight epoch so any parameter mutation forces a
+// rebuild. The packed panels themselves live on the dense layers
+// (refreshed by Network.ensurePacks), shared with the network's own
+// Forward — groups holds, per Denses() position, the ready-made operand
+// (panels + bias) so the per-layer stacking loop is a struct copy
+// instead of a lookup.
 type netPack struct {
 	epoch  int
 	groups []mat.Group
 }
-
-func newNetPack() *netPack { return &netPack{epoch: -1} }
 
 func (np *netPack) refresh(n *Network) {
 	if np.epoch == n.weightEpoch {
@@ -112,99 +91,38 @@ type stackWS struct {
 	vals   []*mat.Matrix // per value stream: rows×1
 	advHid []*mat.Matrix // per dimension
 	advScr []*mat.Matrix // per dimension: advantage head output scratch
-	out   *Output // stacked Q
-	means []float64
-	pks   []*netPack // per-member pack caches, resolved once per eval
+	out    *Output       // stacked Q
+	means  []float64
+	pks    []*netPack // per-member pack caches, resolved once per eval
 
 	// Layer-group cache: per dense position, the grouped-GEMM operand
 	// list for the member set the cache was built against. Rebuilt only
-	// when membership, network side (online/target) or any member's
-	// weight epoch changes — a greedy select loop rebuilds never, so the
-	// hot flush writes no pointer-bearing structs (no GC write
-	// barriers).
+	// when membership or any member's weight epoch changes — a greedy
+	// select loop rebuilds never, so the hot flush writes no
+	// pointer-bearing structs (no GC write barriers).
 	lgGroups [][]mat.Group
 	lgFor    []*PooledAgent
 	lgEpochs []int
-	lgTarget bool
 	lgValid  bool
-
-	train *trainStack // lazily built grouped-training scratch
-}
-
-// trainStack holds the stacked train-mode forward activations and the
-// stacked backward scratch for one stacked row count — the pooled
-// equivalents of each member's layer caches and Network.bwdWS. The
-// train-mode forward needs its own output (ts.q) and per-stream value
-// hiddens because the TD targets keep reading the eval workspace
-// (ws.out) while the loss consumes the train-mode Q.
-type trainStack struct {
-	q     *Output          // train-mode stacked Q
-	gradQ [][]*mat.Matrix  // [K][D] rows×Dims[d] loss gradient
-	z     *mat.Matrix      // trunk output feeding the streams (set per forward)
-
-	drop []*mat.Matrix // per trunk layer: post-dropout activations
-	mask []*mat.Matrix // per trunk layer: inverted-dropout masks
-	valHid []*mat.Matrix // per value stream: rows×BranchHidden hidden
-
-	sharedGrad *mat.Matrix   // rows×repr gradient entering the trunk
-	gv         *mat.Matrix   // rows×1 value-stream gradient
-	combined   *mat.Matrix   // rows×BranchHidden, summed over agents
-	centered   []*mat.Matrix // per dimension: rows×Dims[d]
-	gBH1, gBH2 *mat.Matrix   // rows×BranchHidden backward scratch
-	gRepr      *mat.Matrix   // rows×repr upstream-gradient scratch
-	gTrunk     []*mat.Matrix // per trunk layer: dropout-masked gradient
-	gmTrunk    []*mat.Matrix // per trunk layer: ReLU-masked gradient
-	gTrunkIn   []*mat.Matrix // per trunk layer li>0: rows×h_{li−1} upstream
-	colSums    []float64     // widest dense output
-	wg, wv     []*mat.Matrix // per-member W.Grad / W.Value operand lists
-
-	bands []trainBand   // cached per-member band views
-	xband []*mat.Matrix // per-member band views of ws.x
-
-	// Per trunk layer, per member: band views for the train-forward
-	// dropout sweep (built only when the spec has Dropout).
-	dropBand, maskBand, trunkBand [][]*mat.Matrix
-}
-
-// trainBand is the band view of member s over the stacked train-mode
-// output, eval target output and loss gradient — the per-member shapes
-// trainTargets/trainLossGrad consume.
-type trainBand struct {
-	q, tgt *Output
-	gq     [][]*mat.Matrix
 }
 
 // NewAgentPool returns an empty pool; the first Attach fixes the
 // architecture template.
 func NewAgentPool() *AgentPool { return &AgentPool{stack: make(map[int]*stackWS)} }
 
-// Attach moves an agent into the pool: both networks' parameters are
-// adopted into the arena (bit-identically — see nn.Arena) and the
-// returned handle routes batched operations through the pool. The
-// agent's spec and minibatch shape must match the pool template.
+// Attach moves an agent into the pool and returns the handle that
+// routes its selections through the pool. The agent's spec must match
+// the pool template.
 func (p *AgentPool) Attach(a *Agent) *PooledAgent {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.arena == nil {
+	if p.spec.StateDim == 0 {
 		p.spec = a.cfg.Spec
-		p.batch = a.cfg.BatchSize
-		p.arena = nn.NewArena(nn.ShapesOf(a.online.Params()), 0)
 	}
-	if !specEqual(p.spec, a.cfg.Spec) || p.batch != a.cfg.BatchSize {
-		panic(fmt.Sprintf("bdq: pool template (spec %+v, batch %d) does not match agent (spec %+v, batch %d)",
-			p.spec, p.batch, a.cfg.Spec, a.cfg.BatchSize))
+	if !specEqual(p.spec, a.cfg.Spec) {
+		panic(fmt.Sprintf("bdq: pool template spec %+v does not match agent spec %+v", p.spec, a.cfg.Spec))
 	}
-	pa := &PooledAgent{
-		Agent:      a,
-		pool:       p,
-		slotOnline: p.arena.Alloc(),
-		slotTarget: p.arena.Alloc(),
-		onlinePack: newNetPack(),
-		targetPack: newNetPack(),
-	}
-	p.arena.Adopt(pa.slotOnline, a.online.Params())
-	p.arena.Adopt(pa.slotTarget, a.target.Params())
-	pa.onlineVal, pa.onlineGrad, pa.onlineM, pa.onlineV = p.arena.SlotSlabs(pa.slotOnline)
+	pa := &PooledAgent{Agent: a, pool: p, pack: &netPack{epoch: -1}}
 	p.members = append(p.members, pa)
 	return pa
 }
@@ -238,10 +156,9 @@ func (p *AgentPool) Members() int {
 	return len(p.members)
 }
 
-// Close drains the member out of the pool: its parameters are detached
-// from the arena (deep-copied, so the agent remains fully usable and
-// checkpointable standalone) and the slots are released for reuse.
-// Idempotent.
+// Close drains the member out of the pool. The agent remains fully
+// usable and checkpointable standalone; the handle panics on any further
+// pooled operation. Idempotent.
 func (pa *PooledAgent) Close() {
 	p := pa.pool
 	p.mu.Lock()
@@ -250,10 +167,6 @@ func (pa *PooledAgent) Close() {
 		return
 	}
 	pa.closed = true
-	nn.Detach(pa.Agent.online.Params())
-	nn.Detach(pa.Agent.target.Params())
-	p.arena.Release(pa.slotOnline)
-	p.arena.Release(pa.slotTarget)
 	for i, m := range p.members {
 		if m == pa {
 			p.members = append(p.members[:i], p.members[i+1:]...)
@@ -262,24 +175,8 @@ func (pa *PooledAgent) Close() {
 	}
 }
 
-// QueueObserve queues a transition for the next FlushStep's batched
-// training phase.
-func (pa *PooledAgent) QueueObserve(t replay.Transition) {
-	p := pa.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	pa.queueObserveLocked(t)
-}
-
-func (pa *PooledAgent) queueObserveLocked(t replay.Transition) {
-	pa.ensureOpen()
-	pa.obs = t
-	pa.hasObs = true
-}
-
 // QueueSelect queues an action selection (ε-greedy, or pure greedy)
-// for the next FlushStep's batched selection phase. The state is
-// copied.
+// for the next FlushStep. The state is copied.
 func (pa *PooledAgent) QueueSelect(state []float64, greedy bool) {
 	p := pa.pool
 	p.mu.Lock()
@@ -308,7 +205,7 @@ func (pa *PooledAgent) ensureOpen() {
 
 // TakeActions returns the actions selected by the last FlushStep. The
 // returned slices are double-buffered member storage: they stay valid
-// through the member's next select flush and are overwritten by the one
+// through the member's next selection and are overwritten by the one
 // after that. Callers that hold actions longer must copy them.
 func (pa *PooledAgent) TakeActions() [][]int {
 	p := pa.pool
@@ -319,27 +216,15 @@ func (pa *PooledAgent) TakeActions() [][]int {
 	return acts
 }
 
-// TakeLoss returns the training loss of the last FlushStep (0 when the
-// member did not train).
-func (pa *PooledAgent) TakeLoss() float64 {
-	p := pa.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return pa.loss
-}
-
-// Observe is the pooled single-agent form: queue, flush, take, under
-// one lock acquisition. When other members have queued work it is
-// flushed too (the batched path is order-preserving per member, so
-// this is safe).
+// Observe stores a transition and, once warm, trains the member: its
+// own Agent.Observe under the pool lock. Training is never batched —
+// each member's step touches only its own state.
 func (pa *PooledAgent) Observe(t replay.Transition) float64 {
 	p := pa.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	pa.queueObserveLocked(t)
-	p.flushTrainLocked()
-	p.flushSelectLocked()
-	return pa.loss
+	pa.ensureOpen()
+	return pa.Agent.Observe(t)
 }
 
 // SelectActions is the pooled ε-greedy selection for one member.
@@ -356,7 +241,7 @@ func (pa *PooledAgent) SelectGreedy(state []float64) [][]int {
 // selectOneLocked is the combined queue-flush-take selection path:
 // identical work to QueueSelect + FlushStep + TakeActions, but with a
 // single lock acquisition. When no other member has a selection
-// queued, the solo fall-through runs directly on the caller's state —
+// queued, the member's own forward runs directly on the caller's state —
 // no queue round-trip, no state copy.
 func (pa *PooledAgent) selectOneLocked(state []float64, greedy bool) [][]int {
 	p := pa.pool
@@ -366,7 +251,6 @@ func (pa *PooledAgent) selectOneLocked(state []float64, greedy bool) [][]int {
 	if len(state) != p.spec.StateDim {
 		panic(fmt.Sprintf("bdq: state dim %d != %d", len(state), p.spec.StateDim))
 	}
-	p.flushTrainLocked()
 	for _, m := range p.members {
 		if m.hasSel {
 			// Another member queued a selection: batch with it through
@@ -378,112 +262,14 @@ func (pa *PooledAgent) selectOneLocked(state []float64, greedy bool) [][]int {
 			return acts
 		}
 	}
-	return p.selectSingle(pa, state, greedy)
+	return pa.selectSingle(state, greedy)
 }
 
-// FlushStep runs all queued work: first the batched training phase
-// (every queued transition is stored; warm members train with batched
-// TD-target forwards and per-member backprop), then the batched
-// selection phase (one grouped forward for all queued selections).
-// Training precedes selection, matching the per-agent Observe-then-
-// Select order of a control interval.
+// FlushStep runs every queued selection as one grouped forward.
 func (p *AgentPool) FlushStep() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.flushTrainLocked()
 	p.flushSelectLocked()
-}
-
-func (p *AgentPool) flushTrainLocked() {
-	warm := p.warmScratch[:0]
-	for _, m := range p.members {
-		if !m.hasObs {
-			continue
-		}
-		m.hasObs = false
-		m.loss = 0
-		if m.Agent.observeAdd(m.obs) {
-			warm = append(warm, m)
-		}
-		m.obs = replay.Transition{}
-	}
-	p.warmScratch = warm
-	if len(warm) == 0 {
-		return
-	}
-	maxRounds := 0
-	for _, m := range warm {
-		if r := m.Agent.cfg.TrainPerStep; r > maxRounds {
-			maxRounds = r
-		}
-	}
-	n := p.batch
-	for round := 0; round < maxRounds; round++ {
-		act := p.actScratch[:0]
-		for _, m := range warm {
-			if m.Agent.cfg.TrainPerStep > round {
-				act = append(act, m)
-			}
-		}
-		p.actScratch = act
-		if len(act) == 0 {
-			break
-		}
-		if len(act) == 1 {
-			// A lone warm member has nothing to batch against: the
-			// grouped stacking would only add copy and packing overhead.
-			// Run the monolithic step — bit-identical by construction
-			// (the pooled phases replicate exactly this sequence).
-			m := act[0]
-			m.loss = m.Agent.TrainStep()
-			continue
-		}
-		// Phase 1: per-member minibatch sampling (own RNG streams).
-		for _, m := range act {
-			m.Agent.trainWorkspace()
-			if got := m.Agent.trainSample(); got != n {
-				panic(fmt.Sprintf("bdq: pooled member sampled %d rows, pool batch is %d", got, n))
-			}
-		}
-		// Phase 2+3: batched online forward on s′, per-member argmax.
-		// stackedEval writes into ws.out, which ts.bands[s].tgt views:
-		// until phase 4 overwrites it, the tgt bands hold the online
-		// outputs the argmax reads.
-		ws := p.stackWorkspace(len(act) * n)
-		ts := ws.trainStack(p, len(act))
-		for s, m := range act {
-			ts.xband[s].CopyFrom(m.Agent.train.next)
-		}
-		p.stackedEval(act, false, ws, n)
-		for s, m := range act {
-			m.Agent.trainArgmax(ts.bands[s].tgt, n)
-		}
-		// Phase 4: batched target forward on s′ (same stacked input).
-		p.stackedEval(act, true, ws, n)
-		// Phase 5: per-member bootstrap targets from the target bands.
-		for s, m := range act {
-			m.Agent.trainTargets(ts.bands[s].tgt, n)
-		}
-		// Phase 6: batched train-mode forward on s (grouped GEMMs, with
-		// each member's Dropout draws taken from its own stream in its
-		// solo order), then per-member loss and Q-gradient extraction.
-		for s, m := range act {
-			ts.xband[s].CopyFrom(m.Agent.train.states)
-		}
-		p.stackedTrainForward(act, ws, ts, n)
-		for s, m := range act {
-			m.loss = m.Agent.trainLossGrad(ts.bands[s].q, ts.bands[s].tgt, ts.bands[s].gq, n)
-		}
-		// Phase 7: batched backward — per-member mask/bias sweeps plus
-		// grouped weight-gradient and upstream-gradient GEMMs, in each
-		// member's exact solo operation order.
-		p.stackedBackward(act, ws, ts, n)
-		// Phase 8: per-member commit, with the Adam step fused into one
-		// pass over each member's contiguous arena slabs.
-		for _, m := range act {
-			m.Agent.trainCommitPooled(m.onlineVal, m.onlineGrad, m.onlineM, m.onlineV)
-		}
-	}
 }
 
 func (p *AgentPool) flushSelectLocked() {
@@ -494,12 +280,12 @@ func (p *AgentPool) flushSelectLocked() {
 		}
 	}
 	p.selScratch = sel
-	if len(sel) == 0 {
+	switch len(sel) {
+	case 0:
 		return
-	}
-	if len(sel) == 1 {
+	case 1:
 		m := sel[0]
-		m.acts = p.selectSingle(m, m.selState, m.selGreedy)
+		m.acts = m.selectSingle(m.selState, m.selGreedy)
 		m.hasSel = false
 		return
 	}
@@ -507,55 +293,43 @@ func (p *AgentPool) flushSelectLocked() {
 	for s, m := range sel {
 		copy(ws.x.Row(s), m.selState)
 	}
-	out := p.stackedEval(sel, false, ws, 1)
-	K, D := p.spec.Agents, len(p.spec.Dims)
+	out := p.stackedEval(sel, ws)
 	for s, m := range sel {
-		m.actsFlip ^= 1
-		acts := m.actsBuf[m.actsFlip]
-		if acts == nil {
-			acts = make([][]int, K)
-			for k := range acts {
-				acts[k] = make([]int, D)
-			}
-			m.actsBuf[m.actsFlip] = acts
-		}
-		for k := 0; k < K; k++ {
-			for d := 0; d < D; d++ {
-				acts[k][d] = mat.Argmax(out.Q[k][d].Row(s))
-			}
-		}
-		if !m.selGreedy {
-			acts = m.Agent.applyExploration(acts)
-		}
-		m.acts = acts
+		m.acts = m.actionsFrom(out, s, m.selGreedy)
 		m.hasSel = false
 	}
 }
 
 // selectSingle is the lone-selector fall-through: skip the grouped
 // stacking and run the member's own eval forward (itself on persistent
-// packed panels), writing the argmax into the double-buffered action
-// storage — the solo path minus its per-call allocations, bit-identical
-// to both the solo and grouped paths.
-func (p *AgentPool) selectSingle(m *PooledAgent, state []float64, greedy bool) [][]int {
-	out := m.Agent.online.Forward(m.Agent.stateInput(state), false)
-	K, D := p.spec.Agents, len(p.spec.Dims)
-	m.actsFlip ^= 1
-	acts := m.actsBuf[m.actsFlip]
+// packed panels) — the solo path minus its per-call allocations,
+// bit-identical to both the solo and grouped paths.
+func (pa *PooledAgent) selectSingle(state []float64, greedy bool) [][]int {
+	out := pa.Agent.online.Forward(pa.Agent.stateInput(state), false)
+	return pa.actionsFrom(out, 0, greedy)
+}
+
+// actionsFrom writes the argmax of row r of out into the member's next
+// double-buffered action storage and overlays exploration unless
+// greedy.
+func (pa *PooledAgent) actionsFrom(out *Output, r int, greedy bool) [][]int {
+	pa.actsFlip ^= 1
+	acts := pa.actsBuf[pa.actsFlip]
 	if acts == nil {
-		acts = make([][]int, K)
+		spec := pa.pool.spec
+		acts = make([][]int, spec.Agents)
 		for k := range acts {
-			acts[k] = make([]int, D)
+			acts[k] = make([]int, len(spec.Dims))
 		}
-		m.actsBuf[m.actsFlip] = acts
+		pa.actsBuf[pa.actsFlip] = acts
 	}
-	for k := 0; k < K; k++ {
-		for d := 0; d < D; d++ {
-			acts[k][d] = mat.Argmax(out.Q[k][d].Row(0))
+	for k := range acts {
+		for d := range acts[k] {
+			acts[k][d] = mat.Argmax(out.Q[k][d].Row(r))
 		}
 	}
 	if !greedy {
-		acts = m.Agent.applyExploration(acts)
+		acts = pa.Agent.applyExploration(acts)
 	}
 	return acts
 }
@@ -597,30 +371,12 @@ func (p *AgentPool) stackWorkspace(rows int) *stackWS {
 	return ws
 }
 
-// pack returns the member's pack cache for the online or target
-// network, refreshed to the network's current weight epoch.
-func (pa *PooledAgent) pack(target bool) *netPack {
-	if target {
-		pa.targetPack.refresh(pa.Agent.target)
-		return pa.targetPack
-	}
-	pa.onlinePack.refresh(pa.Agent.online)
-	return pa.onlinePack
-}
-
-func (pa *PooledAgent) net(target bool) *Network {
-	if target {
-		return pa.Agent.target
-	}
-	return pa.Agent.online
-}
-
-// stackedEval runs the eval-mode forward of every member's online (or
-// target) network over the stacked input ws.x, one grouped GEMM per
-// layer position, into the stacked Output. The dueling aggregation is
-// element-for-element the arithmetic of Network.Forward, and each
-// member's band is bit-identical to its own Forward over its rows.
-func (p *AgentPool) stackedEval(members []*PooledAgent, target bool, ws *stackWS, rowsPer int) *Output {
+// stackedEval runs the eval-mode forward of every member's online
+// network over the stacked input ws.x (row s is member s), one grouped
+// GEMM per layer position, into the stacked Output. The dueling
+// aggregation is element-for-element the arithmetic of Network.Forward,
+// and each member's row is bit-identical to its own Forward.
+func (p *AgentPool) stackedEval(members []*PooledAgent, ws *stackWS) *Output {
 	spec := p.spec
 	T := len(spec.SharedHidden)
 	K, D := spec.Agents, len(spec.Dims)
@@ -633,18 +389,19 @@ func (p *AgentPool) stackedEval(members []*PooledAgent, target bool, ws *stackWS
 	}
 	pks := ws.pks[:len(members)]
 	for s, m := range members {
-		pks[s] = m.pack(target) // refresh once; layers read the group cache
+		m.pack.refresh(m.Agent.online) // refresh once; layers read the group cache
+		pks[s] = m.pack
 	}
 	// All members share one architecture, so layer activations (FuseReLU)
 	// are read from the first member's network.
-	ref := members[0].net(target).Denses()
-	ws.refreshLayerGroups(members, pks, target, len(ref))
+	ref := members[0].Agent.online.Denses()
+	ws.refreshLayerGroups(members, pks, len(ref))
 	layer := func(dst, src *mat.Matrix, idx int) {
 		var act mat.Activation = mat.ActIdentity
 		if ref[idx].FuseReLU {
 			act = mat.ActReLU
 		}
-		mat.MulGroupedBiasAct(dst, src, rowsPer, ws.lgGroups[idx], act)
+		mat.MulGroupedBiasAct(dst, src, ws.lgGroups[idx], act)
 	}
 
 	cur := ws.x
@@ -687,8 +444,8 @@ func (p *AgentPool) stackedEval(members []*PooledAgent, target bool, ws *stackWS
 // against the current member set and weight epochs, rebuilding them
 // only on a change. Steady-state greedy selection (no weight updates,
 // stable membership) reuses the cache untouched.
-func (ws *stackWS) refreshLayerGroups(members []*PooledAgent, pks []*netPack, target bool, layers int) {
-	valid := ws.lgValid && ws.lgTarget == target && len(ws.lgFor) == len(members)
+func (ws *stackWS) refreshLayerGroups(members []*PooledAgent, pks []*netPack, layers int) {
+	valid := ws.lgValid && len(ws.lgFor) == len(members)
 	if valid {
 		for s, m := range members {
 			if ws.lgFor[s] != m || ws.lgEpochs[s] != pks[s].epoch {
@@ -722,372 +479,13 @@ func (ws *stackWS) refreshLayerGroups(members []*PooledAgent, pks []*netPack, ta
 	for s := range pks {
 		ws.lgEpochs[s] = pks[s].epoch
 	}
-	ws.lgTarget = target
 	ws.lgValid = true
-}
-
-// trainStack returns the grouped-training scratch bound to this
-// stacked workspace, building it on first use. The stacked row count
-// fixes the member count (rows = members × pool batch), so the band
-// views are carved once.
-func (ws *stackWS) trainStack(p *AgentPool, members int) *trainStack {
-	if ws.train != nil {
-		return ws.train
-	}
-	spec := p.spec
-	rows := ws.x.Rows
-	n := p.batch
-	T := len(spec.SharedHidden)
-	repr := spec.SharedHidden[T-1]
-	numValues := spec.Agents
-	if spec.SharedValue {
-		numValues = 1
-	}
-	ts := &trainStack{
-		q:          &Output{Q: make([][]*mat.Matrix, spec.Agents)},
-		gradQ:      make([][]*mat.Matrix, spec.Agents),
-		sharedGrad: mat.New(rows, repr),
-		gv:         mat.New(rows, 1),
-		combined:   mat.New(rows, spec.BranchHidden),
-		centered:   make([]*mat.Matrix, len(spec.Dims)),
-		gBH1:       mat.New(rows, spec.BranchHidden),
-		gBH2:       mat.New(rows, spec.BranchHidden),
-		gRepr:      mat.New(rows, repr),
-	}
-	for k := range ts.q.Q {
-		ts.q.Q[k] = make([]*mat.Matrix, len(spec.Dims))
-		ts.gradQ[k] = make([]*mat.Matrix, len(spec.Dims))
-		for d, na := range spec.Dims {
-			ts.q.Q[k][d] = mat.New(rows, na)
-			ts.gradQ[k][d] = mat.New(rows, na)
-		}
-	}
-	maxOut := spec.BranchHidden
-	for _, h := range spec.SharedHidden {
-		if h > maxOut {
-			maxOut = h
-		}
-	}
-	for d, na := range spec.Dims {
-		ts.centered[d] = mat.New(rows, na)
-		if na > maxOut {
-			maxOut = na
-		}
-	}
-	ts.colSums = make([]float64, maxOut)
-	for li, h := range spec.SharedHidden {
-		if spec.Dropout > 0 {
-			ts.drop = append(ts.drop, mat.New(rows, h))
-			ts.mask = append(ts.mask, mat.New(rows, h))
-			ts.gTrunk = append(ts.gTrunk, mat.New(rows, h))
-		}
-		ts.gmTrunk = append(ts.gmTrunk, mat.New(rows, h))
-		if li > 0 {
-			ts.gTrunkIn = append(ts.gTrunkIn, mat.New(rows, spec.SharedHidden[li-1]))
-		} else {
-			ts.gTrunkIn = append(ts.gTrunkIn, nil)
-		}
-	}
-	for v := 0; v < numValues; v++ {
-		ts.valHid = append(ts.valHid, mat.New(rows, spec.BranchHidden))
-	}
-	ts.bands = make([]trainBand, members)
-	ts.xband = make([]*mat.Matrix, members)
-	for s := range ts.bands {
-		ts.bands[s] = trainBand{
-			q:   bandOutput(ts.q, s, n),
-			tgt: bandOutput(ws.out, s, n),
-			gq:  bandGradQ(ts.gradQ, s, n),
-		}
-		ts.xband[s] = ws.x.RowsView(s*n, (s+1)*n)
-	}
-	if spec.Dropout > 0 {
-		ts.dropBand = make([][]*mat.Matrix, T)
-		ts.maskBand = make([][]*mat.Matrix, T)
-		ts.trunkBand = make([][]*mat.Matrix, T)
-		for li := 0; li < T; li++ {
-			ts.dropBand[li] = make([]*mat.Matrix, members)
-			ts.maskBand[li] = make([]*mat.Matrix, members)
-			ts.trunkBand[li] = make([]*mat.Matrix, members)
-			for s := 0; s < members; s++ {
-				r0, r1 := s*n, (s+1)*n
-				ts.dropBand[li][s] = ts.drop[li].RowsView(r0, r1)
-				ts.maskBand[li][s] = ts.mask[li].RowsView(r0, r1)
-				ts.trunkBand[li][s] = ws.trunk[li].RowsView(r0, r1)
-			}
-		}
-	}
-	ws.train = ts
-	return ts
-}
-
-// stackedTrainForward runs the train-mode forward of every member's
-// online network over the stacked minibatch states in ws.x: grouped
-// GEMMs for every dense layer, per-member-band Dropout (each member's
-// RNG draws taken from its own stream in its solo order — row-major
-// per layer, trunk layer 0 before layer 1), and the dueling assembly
-// into ts.q. Each member's band is bit-identical to its own
-// Forward(states, true).
-func (p *AgentPool) stackedTrainForward(act []*PooledAgent, ws *stackWS, ts *trainStack, rowsPer int) {
-	spec := p.spec
-	T := len(spec.SharedHidden)
-	K, D := spec.Agents, len(spec.Dims)
-	numValues := K
-	if spec.SharedValue {
-		numValues = 1
-	}
-	if cap(ws.pks) < len(act) {
-		ws.pks = make([]*netPack, len(act))
-	}
-	pks := ws.pks[:len(act)]
-	for s, m := range act {
-		pks[s] = m.pack(false)
-	}
-	ref := act[0].Agent.online.Denses()
-	ws.refreshLayerGroups(act, pks, false, len(ref))
-	layer := func(dst, src *mat.Matrix, idx int) {
-		var a mat.Activation = mat.ActIdentity
-		if ref[idx].FuseReLU {
-			a = mat.ActReLU
-		}
-		mat.MulGroupedBiasAct(dst, src, rowsPer, ws.lgGroups[idx], a)
-	}
-
-	cur := ws.x
-	for li := 0; li < T; li++ {
-		layer(ws.trunk[li], cur, li)
-		cur = ws.trunk[li]
-		if spec.Dropout > 0 {
-			for s, m := range act {
-				m.Agent.online.trunkDropout(li).ApplyTrain(
-					ts.dropBand[li][s], ts.maskBand[li][s], ts.trunkBand[li][s])
-			}
-			cur = ts.drop[li]
-		}
-	}
-	ts.z = cur
-	for v := 0; v < numValues; v++ {
-		layer(ts.valHid[v], cur, T+2*v)
-		layer(ws.vals[v], ts.valHid[v], T+2*v+1)
-	}
-	for d := 0; d < D; d++ {
-		layer(ws.advHid[d], cur, T+2*numValues+d)
-	}
-	for k := 0; k < K; k++ {
-		v := ws.vals[0]
-		if !spec.SharedValue {
-			v = ws.vals[k]
-		}
-		for d := 0; d < D; d++ {
-			layer(ws.advScr[d], ws.advHid[d], T+2*numValues+D+k*D+d)
-			a := ws.advScr[d]
-			q := ts.q.Q[k][d]
-			a.RowMeansInto(ws.means)
-			for b := 0; b < a.Rows; b++ {
-				vb := v.At(b, 0)
-				arow := a.Row(b)
-				qrow := q.Row(b)
-				for j := range qrow {
-					qrow[j] = vb + arow[j] - ws.means[b]
-				}
-			}
-		}
-	}
-}
-
-// groupedDenseBackward replicates Dense.Backward for the dense at
-// Denses() position idx of every active member over stacked bands: the
-// per-member mask/column-sum sweep keeps each member's solo arithmetic
-// (and accumulates its bias gradient), then one grouped GEMM
-// accumulates every member's weight gradient and one more computes the
-// stacked upstream gradient. lastOut/gm are the ReLU mask source and
-// masked-gradient buffer (nil for linear layers); gradIn nil skips the
-// upstream product (trunk layer 0, whose input gradient is unread).
-func (p *AgentPool) groupedDenseBackward(act []*PooledAgent, ts *trainStack, idx int, lastX, lastOut, g, gm, gradIn *mat.Matrix, n int) {
-	fuse := lastOut != nil
-	width := g.Cols
-	cs := ts.colSums[:width]
-	geff := g
-	if fuse {
-		geff = gm
-	}
-	for s, m := range act {
-		dn := m.Agent.online.Denses()[idx]
-		r0 := s * n
-		if fuse {
-			// Dense.Backward's fused sweep: mask by "output > 0" and
-			// build the bias column sums row-major, per member band.
-			for j := range cs {
-				cs[j] = 0
-			}
-			for i := r0; i < r0+n; i++ {
-				grow := g.Row(i)
-				yrow := lastOut.Row(i)
-				mrow := gm.Row(i)
-				for j, v := range grow {
-					if yrow[j] > 0 {
-						mrow[j] = v
-						cs[j] += v
-					} else {
-						mrow[j] = 0
-					}
-				}
-			}
-		} else {
-			gb := mat.Matrix{Rows: n, Cols: width, Data: g.Data[r0*width : (r0+n)*width]}
-			gb.ColSumsInto(cs)
-		}
-		mat.Axpy(1, cs, dn.B.Grad.Data)
-	}
-	wg := ts.wg[:0]
-	for _, m := range act {
-		wg = append(wg, m.Agent.online.Denses()[idx].W.Grad)
-	}
-	ts.wg = wg
-	mat.MulGroupedTransAAcc(wg, lastX, geff, n)
-	if gradIn == nil {
-		return
-	}
-	wv := ts.wv[:0]
-	for _, m := range act {
-		wv = append(wv, m.Agent.online.Denses()[idx].W.Value)
-	}
-	ts.wv = wv
-	mat.MulGroupedTransB(gradIn, geff, n, wv)
-}
-
-// stackedBackward replicates Network.Backward for every member band
-// simultaneously: value streams, centred advantage gradients with the
-// 1/K rescale into the shared advantage hidden, the 1/D rescale, and
-// the trunk in reverse through each member's dropout masks — every
-// per-band op in the member's exact solo order, every GEMM grouped
-// block-diagonally.
-func (p *AgentPool) stackedBackward(act []*PooledAgent, ws *stackWS, ts *trainStack, n int) {
-	spec := p.spec
-	rows := len(act) * n
-	T := len(spec.SharedHidden)
-	K := float64(spec.Agents)
-	D := float64(len(spec.Dims))
-	numValues := spec.Agents
-	if spec.SharedValue {
-		numValues = 1
-	}
-	z := ts.z
-	ts.sharedGrad.Zero()
-
-	// Value streams: dV[b] = Σ_d Σ_a gradQ[k][d][b][a]; with SharedValue
-	// the single stream accumulates every agent's gradient.
-	valueStream := func(v int) {
-		p.groupedDenseBackward(act, ts, T+2*v+1, ts.valHid[v], nil, ts.gv, nil, ts.gBH1, n)
-		p.groupedDenseBackward(act, ts, T+2*v, z, ts.valHid[v], ts.gBH1, ts.gBH2, ts.gRepr, n)
-		mat.Add(ts.sharedGrad, ts.sharedGrad, ts.gRepr)
-	}
-	if spec.SharedValue {
-		gv := ts.gv
-		gv.Zero()
-		for k := 0; k < spec.Agents; k++ {
-			for d := range spec.Dims {
-				g := ts.gradQ[k][d]
-				for r := 0; r < rows; r++ {
-					gv.Data[r] += mat.Sum(g.Row(r))
-				}
-			}
-		}
-		valueStream(0)
-	} else {
-		for k := 0; k < spec.Agents; k++ {
-			gv := ts.gv
-			gv.Zero()
-			for d := range spec.Dims {
-				g := ts.gradQ[k][d]
-				for r := 0; r < rows; r++ {
-					gv.Data[r] += mat.Sum(g.Row(r))
-				}
-			}
-			valueStream(k)
-		}
-	}
-
-	// Advantage modules: centred gradients, heads in agent order, 1/K
-	// before the shared hidden layer.
-	for d := range spec.Dims {
-		combined := ts.combined
-		combined.Zero()
-		for k := 0; k < spec.Agents; k++ {
-			g := ts.gradQ[k][d]
-			centered := ts.centered[d]
-			g.RowMeansInto(ws.means)
-			for r := 0; r < rows; r++ {
-				grow := g.Row(r)
-				crow := centered.Row(r)
-				for j := range crow {
-					crow[j] = grow[j] - ws.means[r]
-				}
-			}
-			p.groupedDenseBackward(act, ts, T+2*numValues+len(spec.Dims)+k*len(spec.Dims)+d,
-				ws.advHid[d], nil, centered, nil, ts.gBH1, n)
-			mat.Add(combined, combined, ts.gBH1)
-		}
-		combined.Scale(1 / K)
-		p.groupedDenseBackward(act, ts, T+2*numValues+d, z, ws.advHid[d], combined, ts.gBH2, ts.gRepr, n)
-		mat.Add(ts.sharedGrad, ts.sharedGrad, ts.gRepr)
-	}
-
-	ts.sharedGrad.Scale(1 / D)
-
-	// Trunk in reverse: dropout mask, then the fused DenseReLU backward.
-	g := ts.sharedGrad
-	for li := T - 1; li >= 0; li-- {
-		if spec.Dropout > 0 {
-			mat.Hadamard(ts.gTrunk[li], g, ts.mask[li])
-			g = ts.gTrunk[li]
-		}
-		lastX := ws.x
-		if li > 0 {
-			lastX = ws.trunk[li-1]
-			if spec.Dropout > 0 {
-				lastX = ts.drop[li-1]
-			}
-		}
-		var gradIn *mat.Matrix
-		if li > 0 {
-			gradIn = ts.gTrunkIn[li]
-		}
-		p.groupedDenseBackward(act, ts, li, lastX, ws.trunk[li], g, ts.gmTrunk[li], gradIn, n)
-		g = gradIn
-	}
-}
-
-// bandOutput views member band s (rows [s·n, (s+1)·n)) of a stacked
-// Output.
-func bandOutput(out *Output, s, n int) *Output {
-	Q := make([][]*mat.Matrix, len(out.Q))
-	for k := range out.Q {
-		Q[k] = make([]*mat.Matrix, len(out.Q[k]))
-		for d := range out.Q[k] {
-			Q[k][d] = out.Q[k][d].RowsView(s*n, (s+1)*n)
-		}
-	}
-	return &Output{Q: Q}
-}
-
-// bandGradQ views member band s of the stacked loss gradient, in the
-// [K][D] shape trainLossGrad fills.
-func bandGradQ(gradQ [][]*mat.Matrix, s, n int) [][]*mat.Matrix {
-	Q := make([][]*mat.Matrix, len(gradQ))
-	for k := range gradQ {
-		Q[k] = make([]*mat.Matrix, len(gradQ[k]))
-		for d := range gradQ[k] {
-			Q[k][d] = gradQ[k][d].RowsView(s*n, (s+1)*n)
-		}
-	}
-	return Q
 }
 
 // Pools is a registry of agent pools keyed by architecture, so fleet
 // engines whose nodes run differently shaped managers (daemon
 // membership generations, heterogeneous clusters) still share a pool —
-// and its arena and pack caches — between same-shaped agents.
+// and its selection workspaces — between same-shaped agents.
 type Pools struct {
 	mu sync.Mutex
 	m  map[string]*AgentPool
@@ -1099,10 +497,9 @@ func NewPools() *Pools { return &Pools{m: make(map[string]*AgentPool)} }
 // For returns the pool for the agent config's architecture signature,
 // creating it on first use.
 func (ps *Pools) For(cfg AgentConfig) *AgentPool {
-	cfg = cfg.Defaults()
-	key := fmt.Sprintf("%d|%d|%v|%v|%d|%g|%t|b%d",
-		cfg.Spec.StateDim, cfg.Spec.Agents, cfg.Spec.Dims, cfg.Spec.SharedHidden,
-		cfg.Spec.BranchHidden, cfg.Spec.Dropout, cfg.Spec.SharedValue, cfg.BatchSize)
+	s := cfg.Spec
+	key := fmt.Sprintf("%d|%d|%v|%v|%d|%g|%t",
+		s.StateDim, s.Agents, s.Dims, s.SharedHidden, s.BranchHidden, s.Dropout, s.SharedValue)
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	pool := ps.m[key]

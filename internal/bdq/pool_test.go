@@ -11,11 +11,12 @@ import (
 	"github.com/twig-sched/twig/internal/replay"
 )
 
-// Golden differential: the pooled path (grouped GEMM over persistent
-// packed panels, batched TD forwards, arena-backed parameters) must be
-// bit-identical to the per-agent path — proven by comparing selected
-// actions, losses and full checkpoint bytes (weights, Adam moments,
-// RNG draw positions, replay state) after lockstep trajectories.
+// Golden differential: the pooled path (grouped selection GEMM over
+// persistent packed panels, per-member training under the pool lock)
+// must be bit-identical to the per-agent path — proven by comparing
+// selected actions, losses and full checkpoint bytes (weights, Adam
+// moments, RNG draw positions, replay state) after lockstep
+// trajectories.
 
 func poolTestCfg(seed int64) AgentConfig {
 	return AgentConfig{
@@ -97,11 +98,12 @@ func drive(t *testing.T, agents []*Agent, pooled []*PooledAgent, pool *AgentPool
 				soloActs[i] = a.SelectActions(state)
 			}
 		}
-		// Pooled path: queue everything, one flush, then collect.
+		// Pooled path: train each member, queue every selection, one
+		// flush, then collect.
 		for i, pa := range pooled {
 			state := testState(spec.StateDim, i, tt)
 			if prevState[i] != nil {
-				pa.QueueObserve(replay.Transition{
+				pa.Observe(replay.Transition{
 					State:     prevState[i],
 					Actions:   prevActsPool[i],
 					Rewards:   testRewards(K, i, tt),
@@ -151,11 +153,11 @@ func TestPoolBitIdenticalSelectAndTrain(t *testing.T) {
 	}
 }
 
-// TestPoolBitIdenticalVariantConfigs drives the grouped training path
-// through the branches the default config leaves cold: global gradient
-// clipping (the flat Adam pass clips over the slab), per-branch
-// bootstrap targets, the shared-value ablation and a dropout-free
-// trunk, each against solo twins.
+// TestPoolBitIdenticalVariantConfigs drives pooled members through the
+// branches the default config leaves cold: global gradient clipping,
+// per-branch bootstrap targets, the shared-value ablation, a
+// dropout-free trunk, several updates per Observe, and members with
+// different TrainPerStep in one pool, each against solo twins.
 func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 	variants := []struct {
 		name string
@@ -166,6 +168,9 @@ func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 		{"sharedvalue", func(c *AgentConfig) { c.Spec.SharedValue = true }},
 		{"nodropout", func(c *AgentConfig) { c.Spec.Dropout = 0 }},
 		{"trainperstep", func(c *AgentConfig) { c.TrainPerStep = 2; c.MaxGradNorm = 1.5 }},
+		// Seeds 300 and 301: member 0 takes one update per Observe,
+		// member 1 three.
+		{"mixedtrainperstep", func(c *AgentConfig) { c.TrainPerStep = 1 + 2*int(c.Seed%2) }},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -188,9 +193,9 @@ func TestPoolBitIdenticalVariantConfigs(t *testing.T) {
 
 // TestPoolConcurrentTraining hammers the pool from one goroutine per
 // member, each running full Observe/Select cycles concurrently — the
-// fleet-engine shape. Run with -race this checks the grouped training
-// phases (stacked workspaces, arena slabs, shared pack panels) against
-// data races; member counts shrink and grow mid-run via churn.
+// fleet-engine shape. Run with -race this checks per-member training
+// and the grouped selection (stacked workspaces, shared pack panels)
+// against data races; member counts shrink and grow mid-run via churn.
 func TestPoolConcurrentTraining(t *testing.T) {
 	const S = 4
 	pool := NewAgentPool()
@@ -307,28 +312,39 @@ func TestPoolDrainRestore(t *testing.T) {
 	}
 }
 
-// TestPoolSlotReuse pins deterministic arena slot reuse across churn:
-// drain + admit lands in the released slots and trains correctly.
-func TestPoolSlotReuse(t *testing.T) {
+// TestPoolChurn drains and admits members: Close is idempotent, any
+// pooled use after Close panics, and a member admitted after a drain
+// trains bit-identically to a solo twin alongside a survivor.
+func TestPoolChurn(t *testing.T) {
 	pool := NewAgentPool()
 	a0 := pool.Attach(NewAgent(poolTestCfg(1)))
 	a1 := pool.Attach(NewAgent(poolTestCfg(2)))
-	if a0.slotOnline != 0 || a1.slotOnline != 2 {
-		t.Fatalf("unexpected initial slots %d, %d", a0.slotOnline, a1.slotOnline)
-	}
+	solo1 := NewAgent(poolTestCfg(2))
+	drive(t, []*Agent{NewAgent(poolTestCfg(1)), solo1}, []*PooledAgent{a0, a1}, pool, 12, 0, 0)
+
 	a0.Close()
 	a0.Close() // idempotent
-	a2 := pool.Attach(NewAgent(poolTestCfg(3)))
-	if a2.slotOnline != 0 || a2.slotTarget != 1 {
-		t.Fatalf("admit after drain got slots %d/%d, want 0/1", a2.slotOnline, a2.slotTarget)
+	if pool.Members() != 1 {
+		t.Fatalf("Members() = %d after drain", pool.Members())
 	}
-	solo := NewAgent(poolTestCfg(3))
-	drive(t, []*Agent{solo}, []*PooledAgent{a2}, pool, 15, 0, 0)
+	a2 := pool.Attach(NewAgent(poolTestCfg(3)))
+	drive(t, []*Agent{solo1, NewAgent(poolTestCfg(3))}, []*PooledAgent{a1, a2}, pool, 15, 12, 0)
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("use after close did not panic")
-		}
-	}()
-	a0.QueueSelect(testState(12, 0, 0), true)
+	st := testState(12, 0, 0)
+	tr := replay.Transition{State: st, Actions: make([]int, 4), Rewards: make([]float64, 2), NextState: st}
+	for name, use := range map[string]func(){
+		"QueueSelect":   func() { a0.QueueSelect(st, true) },
+		"SelectActions": func() { a0.SelectActions(st) },
+		"SelectGreedy":  func() { a0.SelectGreedy(st) },
+		"Observe":       func() { a0.Observe(tr) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s after Close did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
 }

@@ -655,8 +655,8 @@ func (c *Coordinator) stepWorlds(t int) float64 {
 	var energy float64
 	ticked := make(map[int]bool, len(c.replicas))
 
-	// Fleet-batched phase: enqueue every phased controller's learning
-	// and selection work, then run one shared flush for the whole fleet.
+	// Fleet-batched phase: every phased controller learns and enqueues
+	// its selection, then one shared flush runs for the whole fleet.
 	var phased map[*node]ctrl.PhasedController
 	var phaseFailed map[*node]bool
 	if c.cfg.Flush != nil {

@@ -262,7 +262,7 @@ func safeFinish(pc ctrl.PhasedController) (asg sim.Assignment, panicked bool) {
 	return pc.FinishDecide(), false
 }
 
-// closeController releases shared resources (pooled arena slots) held
+// closeController releases shared resources (agent-pool membership) held
 // by a controller stack being discarded.
 func closeController(ctl ctrl.Controller) {
 	if cl, ok := ctl.(ctrl.Closer); ok {

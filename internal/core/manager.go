@@ -78,9 +78,9 @@ type Manager struct {
 	mapper  *Mapper
 
 	// pag is non-nil when the manager's agent lives in a shared
-	// AgentPool: learning and action selection then run through the
-	// pool's batched grouped-GEMM sweep. Checkpointing still goes
-	// through agent, which the pool shares.
+	// AgentPool: action selection then runs through the pool's batched
+	// grouped-GEMM sweep. Training and checkpointing still go through
+	// agent, which the pool shares.
 	pag *bdq.PooledAgent
 
 	prevState   []float64
@@ -89,11 +89,9 @@ type Manager struct {
 	lastAsg     sim.Assignment
 
 	// pendState carries the observed state between PrepareDecide and
-	// FinishDecide; pendTrained records whether a transition was queued
-	// this interval (so lastLoss mirrors the per-agent path exactly).
-	pendState   []float64
-	pendTrained bool
-	pending     bool
+	// FinishDecide.
+	pendState []float64
+	pending   bool
 
 	steps      int
 	migrations int
@@ -143,11 +141,10 @@ func NewManager(cfg Config, managedCores []int) *Manager {
 }
 
 // NewManagerPooled builds a manager whose agent joins the shared pool
-// for its architecture: parameters move into the pool's arena and all
-// inference/training runs through the fleet's batched GEMM sweeps.
-// Behaviour is bit-identical to NewManager; only the execution shape
-// changes. The caller must Close the manager when discarding it so the
-// arena slots are released.
+// for its architecture, so its action selection runs through the
+// fleet's batched GEMM sweep. Behaviour is bit-identical to NewManager;
+// only the execution shape changes. The caller must Close the manager
+// when discarding it so the pool drops the member.
 func NewManagerPooled(cfg Config, managedCores []int, pools *bdq.Pools) *Manager {
 	m := NewManager(cfg, managedCores)
 	if pools != nil {
@@ -156,9 +153,8 @@ func NewManagerPooled(cfg Config, managedCores []int, pools *bdq.Pools) *Manager
 	return m
 }
 
-// Close releases the manager's pooled arena slots (no-op for unpooled
-// managers). The agent keeps a private copy of its state and remains
-// checkpointable. Implements ctrl.Closer.
+// Close removes the manager's agent from its pool (no-op for unpooled
+// managers). The agent remains checkpointable. Implements ctrl.Closer.
 func (m *Manager) Close() {
 	if m.pag != nil {
 		m.pag.Close()
@@ -196,10 +192,10 @@ func (m *Manager) pureExploit() bool {
 // Decide implements Algorithm 1 for one monitoring interval: observe the
 // state s (smoothed PMCs), reward the previous action from the observed
 // QoS and estimated per-service power, train, and emit the mapping for
-// the next interval. Pooled managers route the learning and selection
-// work through their AgentPool (one flush for this manager alone);
-// fleet coordinators instead call PrepareDecide / FinishDecide around a
-// single shared flush.
+// the next interval. Pooled managers route the selection through their
+// AgentPool (one flush for this manager alone); fleet coordinators
+// instead call PrepareDecide / FinishDecide around a single shared
+// flush.
 func (m *Manager) Decide(obs ctrl.Observation) sim.Assignment {
 	m.PrepareDecide(obs)
 	if m.pag != nil {
@@ -209,9 +205,9 @@ func (m *Manager) Decide(obs ctrl.Observation) sim.Assignment {
 }
 
 // PrepareDecide is the first half of Decide: observe the state, reward
-// and enqueue the previous interval's transition, and enqueue this
-// interval's action selection. For unpooled managers the learning step
-// runs inline; the selection is deferred to FinishDecide either way.
+// the previous interval's transition and train on it inline, and (for
+// pooled managers) enqueue this interval's action selection for the
+// pool flush. The selection is collected in FinishDecide either way.
 // Implements ctrl.PhasedController.
 func (m *Manager) PrepareDecide(obs ctrl.Observation) {
 	if len(obs.Services) != len(m.cfg.Services) {
@@ -227,7 +223,6 @@ func (m *Manager) PrepareDecide(obs ctrl.Observation) {
 	}
 	state := m.monitor.Observe(samples)
 
-	m.pendTrained = false
 	if m.prevState != nil && !m.pureExploit() {
 		rewards := make([]float64, len(obs.Services))
 		for k, s := range obs.Services {
@@ -244,8 +239,7 @@ func (m *Manager) PrepareDecide(obs ctrl.Observation) {
 			NextState: state,
 		}
 		if m.pag != nil {
-			m.pag.QueueObserve(t)
-			m.pendTrained = true
+			m.lastLoss = m.pag.Observe(t)
 		} else {
 			m.lastLoss = m.agent.Observe(t)
 		}
@@ -272,9 +266,6 @@ func (m *Manager) FinishDecide() sim.Assignment {
 	switch {
 	case m.pag != nil:
 		actions = m.pag.TakeActions()
-		if m.pendTrained {
-			m.lastLoss = m.pag.TakeLoss()
-		}
 	case m.pureExploit():
 		actions = m.agent.SelectGreedy(state)
 	default:

@@ -49,7 +49,7 @@ type Controller interface {
 
 // PhasedController is an optional Controller extension for fleet-level
 // batching: a coordinator that drives several controllers per tick may
-// split each Decide into PrepareDecide (observe + enqueue learning and
+// split each Decide into PrepareDecide (observe, learn, and enqueue
 // action-selection work) and FinishDecide (collect the selected actions
 // and emit the assignment), with one shared flush — e.g. a batched
 // grouped-GEMM sweep over every controller's network — in between.
@@ -63,7 +63,7 @@ type PhasedController interface {
 }
 
 // Closer is an optional Controller extension for controllers holding
-// shared resources (e.g. pooled parameter-arena slots). Coordinators
+// shared resources (e.g. agent-pool membership). Coordinators
 // call Close when a controller is discarded — rebuild, drain, eviction.
 type Closer interface {
 	Close()

@@ -384,12 +384,11 @@ func (e *Engine) buildController() {
 			Seed:           e.cfg.Seed + int64(e.gen)*7919,
 		},
 	}
-	// The manager's agent lives in a pooled parameter arena shared
-	// across controller generations: a rebuild drains the old manager
-	// (releasing its arena slots for the next generation, which reuses
-	// the same storage) and attaches the fresh learner. The pooled path
-	// is bit-identical to the per-agent one, so resume and determinism
-	// guarantees are unchanged.
+	// The manager's agent joins an agent pool shared across controller
+	// generations: a rebuild drains the old manager out of the pool and
+	// attaches the fresh learner. The pooled path is bit-identical to
+	// the per-agent one, so resume and determinism guarantees are
+	// unchanged.
 	if e.pools == nil {
 		e.pools = bdq.NewPools()
 	}

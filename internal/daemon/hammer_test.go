@@ -9,11 +9,11 @@ import (
 
 // TestHammerAdmitDrainWhilePoolSteps races the admission API against
 // the batched control loop: while Step() drives the pooled manager
-// (grouped-GEMM sweeps over the shared parameter arena), concurrent
-// goroutines admit, drain and delete services as fast as the API lets
-// them. Membership churn maps to arena slot release/adopt inside
-// controller rebuilds; run under -race this proves no torn arena slots
-// and no unsynchronised pool access. Expected lifecycle conflicts
+// (grouped-GEMM selection sweeps over the shared agent pool),
+// concurrent goroutines admit, drain and delete services as fast as the
+// API lets them. Membership churn maps to pool drain/attach inside
+// controller rebuilds; run under -race this proves no unsynchronised
+// pool access. Expected lifecycle conflicts
 // (drain of a pending service, duplicate admit) are fine — panics,
 // races and a wedged control loop are not.
 func TestHammerAdmitDrainWhilePoolSteps(t *testing.T) {

@@ -4,13 +4,12 @@ import "fmt"
 
 // Pooled multi-agent dispatch: persistent packed B panels and a
 // block-diagonal ("grouped") GEMM. S agents sharing one architecture
-// stack their activations row-wise into a single matrix; each band of
-// rows multiplies its own agent's weight matrix. Every destination
-// element still accumulates its k terms in ascending order with
-// individual roundings on the shared microkernels, so a grouped product
-// is bit-identical to the per-agent Mul/MulBiasAct calls it replaces —
-// including batch-1 bands, which the per-agent path runs on the
-// streaming kernel and the grouped path on the packed 1×8 kernel.
+// stack their batch-1 activations into a single matrix; row i
+// multiplies agent i's weight matrix. Every destination element still
+// accumulates its k terms in ascending order with individual roundings
+// on the shared microkernels, so a grouped product is bit-identical to
+// the per-agent Mul/MulBiasAct calls it replaces, which run batch-1
+// rows on the streaming kernel.
 
 // PackedB is a B operand packed once into nr-wide column panels and
 // kept (owned storage, not the scratch pool) so repeated products
@@ -46,7 +45,9 @@ func (pb *PackedB) RepackFrom(b *Matrix) {
 // operand. Unlike MulBiasAct it runs the packed kernels at every row
 // count — a single-row product pays no packing and still gets the
 // register-tiled microkernel. Bitwise it equals MulBiasAct(dst, a, b,
-// bias, act) for the b that was packed.
+// bias, act) for the b that was packed. The degenerate shapes (k = 0 or
+// n = 0) zero-fill and apply the epilogue exactly like the streaming
+// kernel.
 func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activation) {
 	if a.Cols != pb.K || dst.Rows != a.Rows || dst.Cols != pb.N {
 		panic(fmt.Sprintf("mat: MulPackedBiasAct dims (%dx%d)·(%dx%d)->(%dx%d)",
@@ -55,234 +56,76 @@ func MulPackedBiasAct(dst, a *Matrix, pb *PackedB, bias []float64, act Activatio
 	if bias != nil && len(bias) != pb.N {
 		panic("mat: MulPackedBiasAct bias length mismatch")
 	}
-	mulPackedInto(dst, a, pb.Data, 0, a.Rows, bias, act)
-}
-
-// mulPackedInto runs rows [r0, r1) of a packed product with the shared
-// parallel gate. The degenerate shapes (k = 0 or n = 0) zero-fill and
-// apply the epilogue exactly like the streaming kernel.
-func mulPackedInto(dst, a *Matrix, bp []float64, r0, r1 int, bias []float64, act Activation) {
-	if a.Cols == 0 || dst.Cols == 0 {
-		for i := r0; i < r1; i++ {
-			row := dst.Row(i)
-			for j := range row {
-				row[j] = 0
-			}
-		}
-		biasActRange(dst, r0, r1, bias, act)
-		return
-	}
-	rows := r1 - r0
-	if rows < mr {
+	rows, k, n := a.Rows, a.Cols, dst.Cols
+	switch {
+	case k == 0 || n == 0:
+		dst.Zero()
+		biasActRange(dst, 0, rows, bias, act)
+	case rows < mr:
 		// Narrow products (solo batch-1 action selection on persistent
 		// packs): the fused multi-panel row kernel skips the per-panel
 		// call dispatch. Bitwise identical to the per-row tile loop.
-		k, n := a.Cols, dst.Cols
 		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-		for i := r0; i < r1; i++ {
-			gemmPackedRowFused(dst.Row(i), a.Row(i), bp, rowScr.Data, k, n, true, false, bias, act)
+		for i := 0; i < rows; i++ {
+			gemmPackedRowFused(dst.Row(i), a.Row(i), pb.Data, rowScr.Data, k, n, true, false, bias, act)
 		}
 		PutScratch(rowScr)
-		return
-	}
-	flops := rows * a.Cols * dst.Cols
-	if useParallel(rows, flops) {
-		parallelRows(rows, func(c0, c1 int) {
-			gemmPackedRange(dst, a, bp, r0+c0, r0+c1, true, false, bias, act)
+	case useParallel(rows, rows*k*n):
+		parallelRows(rows, func(r0, r1 int) {
+			gemmPackedRange(dst, a, pb.Data, r0, r1, true, false, bias, act)
 		})
-		return
+	default:
+		gemmPackedRange(dst, a, pb.Data, 0, rows, true, false, bias, act)
 	}
-	gemmPackedRange(dst, a, bp, r0, r1, true, false, bias, act)
 }
 
-// Group is one band of a grouped product: the operand (packed when the
-// caller caches panels, raw otherwise) and its bias.
+// Group is one row of a grouped product: a pre-packed operand (see
+// PackB) and its bias.
 type Group struct {
-	// B is the raw operand, packed into scratch per call when Packed is
-	// nil. Ignored when Packed is set.
-	B *Matrix
-	// Packed is the pre-packed operand (see PackB), used as-is.
 	Packed *PackedB
-	// Bias is broadcast-added in the epilogue (nil for none).
-	Bias []float64
+	Bias   []float64 // broadcast-added in the epilogue (nil for none)
 }
 
-// MulGroupedBiasAct computes the block-diagonal product: a and dst are
-// split into len(groups) bands of rowsPer consecutive rows, and band g
-// is act(a_g·B_g + bias_g). Every operand must share the depth a.Cols
-// and the output width dst.Cols (agents share one architecture). Each
-// band is bit-identical to MulBiasAct over that band alone.
-func MulGroupedBiasAct(dst, a *Matrix, rowsPer int, groups []Group, act Activation) {
-	if rowsPer <= 0 {
-		panic("mat: MulGroupedBiasAct rowsPer must be positive")
-	}
-	if a.Rows != rowsPer*len(groups) || dst.Rows != a.Rows {
-		panic(fmt.Sprintf("mat: MulGroupedBiasAct has %d rows for %d groups of %d",
-			a.Rows, len(groups), rowsPer))
+// MulGroupedBiasAct computes the block-diagonal batch-1 product of
+// pooled action selection: row i of dst is act(a_i·B_i + bias_i) for
+// groups[i]. Every operand must share the depth a.Cols and the output
+// width dst.Cols (agents share one architecture). Each row is
+// bit-identical to MulBiasAct over that row alone.
+func MulGroupedBiasAct(dst, a *Matrix, groups []Group, act Activation) {
+	if a.Rows != len(groups) || dst.Rows != a.Rows {
+		panic(fmt.Sprintf("mat: MulGroupedBiasAct has %d rows for %d groups", a.Rows, len(groups)))
 	}
 	k, n := a.Cols, dst.Cols
-	for g := range groups {
-		gk, gn := groupShape(&groups[g])
-		if gk != k || gn != n {
-			panic(fmt.Sprintf("mat: MulGroupedBiasAct group %d is %dx%d, want %dx%d", g, gk, gn, k, n))
+	for i := range groups {
+		g := &groups[i]
+		if g.Packed.K != k || g.Packed.N != n {
+			panic(fmt.Sprintf("mat: MulGroupedBiasAct group %d is %dx%d, want %dx%d", i, g.Packed.K, g.Packed.N, k, n))
 		}
-		if groups[g].Bias != nil && len(groups[g].Bias) != n {
+		if g.Bias != nil && len(g.Bias) != n {
 			panic("mat: MulGroupedBiasAct bias length mismatch")
-		}
-	}
-	if len(groups) == 0 {
-		return
-	}
-	if rowsPer >= mr {
-		// Wide bands: each band runs the full tiled range (4×8 kernel,
-		// per-band parallel fan-out), packing into scratch when the
-		// caller holds no persistent panels.
-		for g := range groups {
-			r0 := g * rowsPer
-			bp, scratch := groupPanels(&groups[g])
-			mulPackedInto(dst, a, bp, r0, r0+rowsPer, groups[g].Bias, act)
-			if scratch != nil {
-				PutScratch(scratch)
-			}
-		}
-		return
-	}
-	// Narrow bands (pooled batch-1 action selection): fan out across the
-	// whole stacked row set; each row resolves its own group's panels.
-	if rowsPer == 1 && k > 0 && n > 0 && allPacked(groups) {
-		// Every group pre-packed (the pooled steady state): no panel
-		// indirection to build, no scratch bookkeeping — the row loop
-		// reads each group's panels straight out of its PackedB.
-		run := func(r0, r1 int) {
-			rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-			defer PutScratch(rowScr)
-			rowAcc := rowScr.Data
-			for i := r0; i < r1; i++ {
-				gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowAcc, k, n, true, false, groups[i].Bias, act)
-			}
-		}
-		if useParallel(a.Rows, a.Rows*k*n) {
-			parallelRows(a.Rows, run)
-		} else {
-			run(0, a.Rows)
-		}
-		return
-	}
-	var scratches []*Matrix
-	panels := make([][]float64, len(groups))
-	for g := range groups {
-		bp, scratch := groupPanels(&groups[g])
-		panels[g] = bp
-		if scratch != nil {
-			scratches = append(scratches, scratch)
 		}
 	}
 	if k == 0 || n == 0 {
 		dst.Zero()
-		biasActRange(dst, 0, dst.Rows, nil, ActIdentity)
-		for g := range groups {
-			r0 := g * rowsPer
-			biasActRange(dst, r0, r0+rowsPer, groups[g].Bias, act)
+		for i := range groups {
+			biasActRange(dst, i, i+1, groups[i].Bias, act)
 		}
+		return
+	}
+	// Fan out across the stacked rows; each row reads its own group's
+	// panels straight out of its PackedB.
+	run := func(r0, r1 int) {
+		rowScr := GetScratch(1, (n+nr-1)/nr*nr)
+		defer PutScratch(rowScr)
+		for i := r0; i < r1; i++ {
+			gemmPackedRowFused(dst.Row(i), a.Row(i), groups[i].Packed.Data, rowScr.Data, k, n, true, false, groups[i].Bias, act)
+		}
+	}
+	if useParallel(a.Rows, a.Rows*k*n) {
+		parallelRows(a.Rows, run)
 	} else {
-		run := func(r0, r1 int) {
-			// Per-goroutine row accumulator for the fused row kernel.
-			rowScr := GetScratch(1, (n+nr-1)/nr*nr)
-			defer PutScratch(rowScr)
-			rowAcc := rowScr.Data
-			if rowsPer == 1 {
-				// Batch-1 select: row i IS group i; skip the divide.
-				for i := r0; i < r1; i++ {
-					gemmPackedRowFused(dst.Row(i), a.Row(i), panels[i], rowAcc, k, n, true, false, groups[i].Bias, act)
-				}
-				return
-			}
-			for i := r0; i < r1; i++ {
-				g := i / rowsPer
-				gemmPackedRowFused(dst.Row(i), a.Row(i), panels[g], rowAcc, k, n, true, false, groups[g].Bias, act)
-			}
-		}
-		if useParallel(a.Rows, a.Rows*k*n) {
-			parallelRows(a.Rows, run)
-		} else {
-			run(0, a.Rows)
-		}
+		run(0, a.Rows)
 	}
-	for _, s := range scratches {
-		PutScratch(s)
-	}
-}
-
-// MulGroupedTransAAcc is the block-diagonal weight-gradient sweep of
-// the pooled training path: a and b are split into len(dsts) bands of
-// rowsPer consecutive rows, and band g accumulates dsts[g] += a_gᵀ·b_g.
-// Each band runs the exact MulTransAAcc dispatch (packed gather kernel
-// or streaming fallback), so every destination is bit-identical to the
-// per-agent call it replaces.
-func MulGroupedTransAAcc(dsts []*Matrix, a, b *Matrix, rowsPer int) {
-	if rowsPer <= 0 {
-		panic("mat: MulGroupedTransAAcc rowsPer must be positive")
-	}
-	if a.Rows != rowsPer*len(dsts) || b.Rows != a.Rows {
-		panic(fmt.Sprintf("mat: MulGroupedTransAAcc has %dx%d rows for %d groups of %d",
-			a.Rows, b.Rows, len(dsts), rowsPer))
-	}
-	ab := Matrix{Rows: rowsPer, Cols: a.Cols}
-	bb := Matrix{Rows: rowsPer, Cols: b.Cols}
-	for g, dst := range dsts {
-		r0 := g * rowsPer
-		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
-		bb.Data = b.Data[r0*b.Cols : (r0+rowsPer)*b.Cols]
-		MulTransAAcc(dst, &ab, &bb)
-	}
-}
-
-// MulGroupedTransB is the block-diagonal upstream-gradient sweep: band
-// g of dst is a_g·bs[g]ᵀ. Every bs must share the shape (agents share
-// one architecture). Bit-identical per band to MulTransB.
-func MulGroupedTransB(dst, a *Matrix, rowsPer int, bs []*Matrix) {
-	if rowsPer <= 0 {
-		panic("mat: MulGroupedTransB rowsPer must be positive")
-	}
-	if a.Rows != rowsPer*len(bs) || dst.Rows != a.Rows {
-		panic(fmt.Sprintf("mat: MulGroupedTransB has %d rows for %d groups of %d",
-			a.Rows, len(bs), rowsPer))
-	}
-	ab := Matrix{Rows: rowsPer, Cols: a.Cols}
-	db := Matrix{Rows: rowsPer, Cols: dst.Cols}
-	for g, b := range bs {
-		r0 := g * rowsPer
-		ab.Data = a.Data[r0*a.Cols : (r0+rowsPer)*a.Cols]
-		db.Data = dst.Data[r0*dst.Cols : (r0+rowsPer)*dst.Cols]
-		MulTransB(&db, &ab, b)
-	}
-}
-
-// allPacked reports whether every group carries persistent panels.
-func allPacked(groups []Group) bool {
-	for g := range groups {
-		if groups[g].Packed == nil {
-			return false
-		}
-	}
-	return true
-}
-
-func groupShape(g *Group) (k, n int) {
-	if g.Packed != nil {
-		return g.Packed.K, g.Packed.N
-	}
-	return g.B.Rows, g.B.Cols
-}
-
-// groupPanels resolves a group's packed panels, packing into scratch
-// (returned for release) when no persistent pack is attached.
-func groupPanels(g *Group) (bp []float64, scratch *Matrix) {
-	if g.Packed != nil {
-		return g.Packed.Data, nil
-	}
-	scratch = packB(g.B)
-	return scratch.Data, scratch
 }
 
 // DispatchInfo describes the execution path Mul/MulBiasAct selects for
@@ -315,7 +158,7 @@ func MulDispatch(m, k, n int) DispatchInfo {
 }
 
 // PackedDispatch reports the path a packed product (MulPackedBiasAct,
-// grouped bands) takes: always tiled, at any row count.
+// grouped rows) takes: always tiled, at any row count.
 func PackedDispatch(m, k, n int) DispatchInfo {
 	return DispatchInfo{Path: "tiled", Kernel: KernelName(), Parallel: useParallel(m, m*k*n)}
 }

@@ -52,17 +52,15 @@ func TestMulPackedBiasActMatchesMulBiasAct(t *testing.T) {
 
 func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cases := []struct{ groups, rowsPer, k, n int }{
-		{36, 1, 22, 512},  // fleet batch-1 select, S=36
-		{8, 1, 512, 256},  // trunk second layer
-		{4, 3, 22, 512},   // narrow bands below mr
-		{3, 32, 256, 128}, // wide bands (per-band tiled path)
-		{5, 4, 128, 18},   // exactly mr rows per band
-		{2, 1, 0, 9},      // degenerate depth
-		{2, 2, 9, 0},      // degenerate width
+	cases := []struct{ groups, k, n int }{
+		{36, 22, 512}, // fleet batch-1 select, S=36
+		{8, 512, 256}, // trunk second layer
+		{5, 128, 18},  // ragged n
+		{2, 0, 9},     // degenerate depth
+		{2, 9, 0},     // degenerate width
 	}
 	for _, tc := range cases {
-		a := New(tc.groups*tc.rowsPer, tc.k)
+		a := New(tc.groups, tc.k)
 		fuzzFill(a.Data, rng)
 		groups := make([]Group, tc.groups)
 		bs := make([]*Matrix, tc.groups)
@@ -71,95 +69,24 @@ func TestMulGroupedBiasActMatchesPerAgent(t *testing.T) {
 			fuzzFill(bs[g].Data, rng)
 			bias := make([]float64, tc.n)
 			fuzzFill(bias, rng)
-			groups[g] = Group{B: bs[g], Bias: bias}
+			groups[g] = Group{Packed: PackB(bs[g]), Bias: bias}
 		}
 
 		for _, act := range []Activation{ActIdentity, ActReLU} {
-			// Reference: one MulBiasAct per band, exactly the per-agent loop.
+			// Reference: one MulBiasAct per row, exactly the per-agent loop.
 			want := New(a.Rows, tc.n)
 			for g := range groups {
-				r0 := g * tc.rowsPer
-				MulBiasAct(want.RowsView(r0, r0+tc.rowsPer), a.RowsView(r0, r0+tc.rowsPer),
-					bs[g], groups[g].Bias, act)
+				MulBiasAct(want.RowsView(g, g+1), a.RowsView(g, g+1), bs[g], groups[g].Bias, act)
 			}
 			withKernels(t, func(kernel string) {
 				withParallelism(t, func(par int) {
-					// Raw operands (scratch packing per call).
 					got := New(a.Rows, tc.n)
 					fuzzFill(got.Data, rng)
-					MulGroupedBiasAct(got, a, tc.rowsPer, groups, act)
-					requireBitsEqual(t, "grouped-raw/"+kernel, got, want)
-
-					// Persistent packed panels (the pooled select cache).
-					packed := make([]Group, len(groups))
-					for g := range groups {
-						packed[g] = Group{Packed: PackB(bs[g]), Bias: groups[g].Bias}
-					}
-					fuzzFill(got.Data, rng)
-					MulGroupedBiasAct(got, a, tc.rowsPer, packed, act)
+					MulGroupedBiasAct(got, a, groups, act)
 					requireBitsEqual(t, "grouped-packed/"+kernel, got, want)
 				})
 			})
 		}
-	}
-}
-
-// TestMulGroupedBackwardMatchesPerAgent: the grouped training sweeps
-// (weight-gradient accumulate, upstream gradient) must be bitwise equal
-// to the per-agent MulTransAAcc/MulTransB loop they replace, at every
-// kernel and fan-out — the mat-layer half of the pooled-training golden.
-func TestMulGroupedBackwardMatchesPerAgent(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	cases := []struct{ groups, rowsPer, k, n int }{
-		{8, 8, 22, 512},  // fleet minibatch: rows = batch per member
-		{3, 64, 512, 256}, // wide bands, trunk second layer
-		{4, 8, 128, 18},  // head gradients, ragged n
-		{2, 3, 16, 9},    // bands below the pack gate
-		{2, 4, 0, 9},     // degenerate depth
-		{3, 2, 9, 0},     // degenerate width
-	}
-	for _, tc := range cases {
-		rows := tc.groups * tc.rowsPer
-		a := New(rows, tc.k) // stacked activations
-		g := New(rows, tc.n) // stacked output gradient
-		fuzzFill(a.Data, rng)
-		fuzzFill(g.Data, rng)
-		ws := make([]*Matrix, tc.groups) // per-member weights k×n
-		for i := range ws {
-			ws[i] = New(tc.k, tc.n)
-			fuzzFill(ws[i].Data, rng)
-		}
-
-		// References: the per-agent backward loop, band by band.
-		wantGrads := make([]*Matrix, tc.groups)
-		accInit := make([]*Matrix, tc.groups)
-		wantIn := New(rows, tc.k)
-		for i := range ws {
-			r0 := i * tc.rowsPer
-			accInit[i] = New(tc.k, tc.n)
-			fuzzFill(accInit[i].Data, rng) // nonzero: Acc must accumulate
-			wantGrads[i] = accInit[i].Clone()
-			MulTransAAcc(wantGrads[i], a.RowsView(r0, r0+tc.rowsPer), g.RowsView(r0, r0+tc.rowsPer))
-			MulTransB(wantIn.RowsView(r0, r0+tc.rowsPer), g.RowsView(r0, r0+tc.rowsPer), ws[i])
-		}
-
-		withKernels(t, func(kernel string) {
-			withParallelism(t, func(par int) {
-				grads := make([]*Matrix, tc.groups)
-				for i := range grads {
-					grads[i] = accInit[i].Clone()
-				}
-				MulGroupedTransAAcc(grads, a, g, tc.rowsPer)
-				for i := range grads {
-					requireBitsEqual(t, "grouped-transA/"+kernel, grads[i], wantGrads[i])
-				}
-
-				gotIn := New(rows, tc.k)
-				fuzzFill(gotIn.Data, rng)
-				MulGroupedTransB(gotIn, g, tc.rowsPer, ws)
-				requireBitsEqual(t, "grouped-transB/"+kernel, gotIn, wantIn)
-			})
-		})
 	}
 }
 

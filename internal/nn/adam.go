@@ -53,7 +53,7 @@ func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	b1, omb1 := a.Beta1, 1-a.Beta1
 	b2, omb2 := a.Beta2, 1-a.Beta2
 	for _, p := range params {
-		if p.m == nil && !p.adoptMoments() {
+		if p.m == nil {
 			p.m = mat.New(p.Value.Rows, p.Value.Cols)
 			p.v = mat.New(p.Value.Rows, p.Value.Cols)
 		}
@@ -71,39 +71,6 @@ func (a *Adam) apply(params []*Param, zeroGrad bool) {
 	}
 }
 
-// StepAndZeroGradFlat is StepAndZeroGrad for parameters that live in
-// one contiguous arena slot (see Arena.SlotSlabs): instead of walking
-// params one tensor at a time, the update runs as a single pass over
-// the slot's value/grad/moment slabs. Params is still consulted for
-// norm clipping (same element order — the slabs are tightly packed in
-// Params() order) and for lazy moment adoption, so the result is
-// bitwise identical to StepAndZeroGrad on the same parameters.
-func (a *Adam) StepAndZeroGradFlat(params []*Param, value, grad, m, v []float64) {
-	a.step++
-	if a.MaxGradNorm > 0 {
-		clipGlobalNormFlat(grad, a.MaxGradNorm)
-	}
-	for _, p := range params {
-		if p.m == nil && !p.adoptMoments() {
-			panic("nn: StepAndZeroGradFlat param " + p.Name + " not arena-adopted")
-		}
-	}
-	c1 := 1 - math.Pow(a.Beta1, float64(a.step))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.step))
-	lr, eps := a.LR, a.Epsilon
-	b1, omb1 := a.Beta1, 1-a.Beta1
-	b2, omb2 := a.Beta2, 1-a.Beta2
-	md, vd, pd := m, v, value
-	for i, g := range grad {
-		mm := b1*md[i] + omb1*g
-		vv := b2*vd[i] + omb2*g*g
-		md[i] = mm
-		vd[i] = vv
-		pd[i] -= lr * (mm / c1) / (math.Sqrt(vv/c2) + eps)
-		grad[i] = 0
-	}
-}
-
 // StepCount returns the number of updates applied so far.
 func (a *Adam) StepCount() int { return a.step }
 
@@ -117,25 +84,6 @@ func ResetMoments(params []*Param) {
 	for _, p := range params {
 		p.m = nil
 		p.v = nil
-	}
-}
-
-// clipGlobalNormFlat is clipGlobalNorm over one contiguous grad slab.
-// The slab covers the same elements in the same (Params) order, so the
-// squared-sum accumulation rounds identically; the rescale multiplies
-// each element once, like the per-param Scale calls.
-func clipGlobalNormFlat(grad []float64, maxNorm float64) {
-	var sq float64
-	for _, g := range grad {
-		sq += g * g
-	}
-	norm := math.Sqrt(sq)
-	if norm <= maxNorm || norm == 0 {
-		return
-	}
-	scale := maxNorm / norm
-	for i := range grad {
-		grad[i] *= scale
 	}
 }
 

@@ -266,27 +266,6 @@ func (d *Dropout) Forward(x *mat.Matrix, train bool) *mat.Matrix {
 	return y
 }
 
-// ApplyTrain runs Forward's train-mode body over caller-owned buffers:
-// it draws a fresh mask from the layer's RNG into mask and writes the
-// rescaled, dropped activations of x into y. The pooled training path
-// uses it to keep each member's RNG draw sequence (row-major over the
-// member's own activations, exactly like its solo Forward) while the
-// activations live as bands of a stacked matrix. x, y and mask must
-// share a shape; x's Data is consumed in row-major order.
-func (d *Dropout) ApplyTrain(y, mask, x *mat.Matrix) {
-	keep := 1 - d.Rate
-	inv := 1 / keep
-	for i, v := range x.Data {
-		if d.rng.Float64() < keep {
-			mask.Data[i] = inv
-			y.Data[i] = v * inv
-		} else {
-			mask.Data[i] = 0
-			y.Data[i] = 0
-		}
-	}
-}
-
 // Backward applies the same mask to the incoming gradient.
 func (d *Dropout) Backward(gradOut *mat.Matrix) *mat.Matrix {
 	if d.mask == nil {
