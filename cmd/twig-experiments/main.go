@@ -11,9 +11,7 @@
 // experiment cells out over N workers (default GOMAXPROCS); results are
 // byte-identical at any setting. -short substitutes a smoke-test scale
 // (tiny networks, 200-interval runs) so CI can rerun an experiment and
-// diff the output in seconds. -fast swaps in the fused FMA/AVX-512 GEMM
-// kernels where the CPU has them: faster, but results drift by trailing
-// ulps from the default (bit-reproducible) kernels.
+// diff the output in seconds.
 //
 // Experiment ids: fig1, table1, fig4, table2, table3, fig5, fig6, fig7,
 // figmem, fig8, fig9, fig10, fig11, fig12, fig13, figfault, figchaos,
@@ -28,7 +26,6 @@ import (
 	"time"
 
 	"github.com/twig-sched/twig/internal/experiments"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
 
@@ -40,14 +37,9 @@ func main() {
 		short    = flag.Bool("short", false, "smoke-test scale: tiny networks, 200-interval runs (overrides -scale)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent experiment cells (results are identical at any setting)")
-		fast     = flag.Bool("fast", false, "use fused FMA/AVX-512 GEMM kernels when the CPU has them; results drift by trailing ulps vs the default kernels")
 	)
 	flag.Parse()
 	experiments.SetParallelism(*parallel)
-	if *fast {
-		fmt.Fprintf(os.Stderr, "twig-experiments: fast math: %s kernels (cpu: %s)\n",
-			mat.SetFastMath(true), mat.CPUFeatures())
-	}
 	if *fig != "" {
 		*exp = *fig
 	}

@@ -43,7 +43,6 @@ type runConfig struct {
 	logEvery int
 	faults   faults.Scenario
 	guard    bool
-	fast     bool
 
 	ckptDir   string
 	ckptEvery int
@@ -71,15 +70,14 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 		scenFlag     = fs.String("scenario", "", "named scenario preset ("+strings.Join(scenario.Names(), ", ")+"): platform, service mix and generated traces replace -services/-loads/-pattern")
 		csvFlag      = fs.String("csv", "", "write a per-interval CSV record of the run to this file")
 		httpFlag     = fs.String("http", "", "serve the admission API, /status and /metrics on this address while running")
-		saveFlag     = fs.String("save", "", "write learned network weights to this file at exit")
-		loadFlag     = fs.String("load", "", "seed the manager with weights saved by -save")
+		saveFlag     = fs.String("save", "", "write a manager checkpoint to this file at exit")
+		loadFlag     = fs.String("load", "", "seed the manager from a checkpoint written by -save or -checkpoint-dir")
 		seconds      = fs.Int("seconds", 3500, "simulated seconds to run")
 		seed         = fs.Int64("seed", 1, "random seed")
 		scale        = fs.String("scale", "quick", "learning profile: quick or paper")
 		logEvery     = fs.Int("log-every", 100, "print a status line every N simulated seconds")
 		faultsFlag   = fs.String("faults", "none", "fault scenario: "+strings.Join(faults.Names(), ", "))
 		guardFlag    = fs.Bool("guard", false, "wrap the manager in the resilient guard")
-		fastFlag     = fs.Bool("fast", false, "use fused FMA/AVX-512 GEMM kernels when the CPU has them; faster, but resume is no longer bit-identical")
 		ckptDir      = fs.String("checkpoint-dir", "", "directory for periodic crash-consistent checkpoints; on start the latest valid one is restored and the run resumes bit-identically")
 		ckptEvery    = fs.Int("checkpoint-every", 60, "write a checkpoint every N simulated seconds (with -checkpoint-dir)")
 		ckptKeep     = fs.Int("checkpoint-keep", 3, "checkpoints to retain on disk (with -checkpoint-dir)")
@@ -103,7 +101,6 @@ func parseConfig(args []string, errOut io.Writer) (runConfig, error) {
 		seed:      *seed,
 		logEvery:  *logEvery,
 		guard:     *guardFlag,
-		fast:      *fastFlag,
 		ckptDir:   *ckptDir,
 		ckptEvery: *ckptEvery,
 		ckptKeep:  *ckptKeep,

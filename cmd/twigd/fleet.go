@@ -30,7 +30,6 @@ func runFleet(cfg runConfig) error {
 		MaxRetries:      4,
 		Factory:         experiments.FleetFactory(cfg.scale),
 		CheckpointEvery: cfg.ckptEvery,
-		FastMath:        cfg.fast,
 	}
 
 	// A scenario preset replaces the homogeneous fleet: one node per

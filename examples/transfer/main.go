@@ -26,8 +26,7 @@ func main() {
 	run(donorSrv, donor, 0.5*donorProf.MaxLoadRPS, 4000, nil)
 
 	// Checkpoint the full manager state — networks with their Adam
-	// moments, the replay buffer, step counters and RNG position — not
-	// just the weights a legacy Save would capture.
+	// moments, the replay buffer, step counters and RNG position.
 	var ckpt bytes.Buffer
 	if err := donor.SaveCheckpoint(&ckpt); err != nil {
 		log.Fatal(err)

@@ -2,7 +2,6 @@ package bdq
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/nn"
@@ -419,17 +418,13 @@ func (a *Agent) Transfer(restartStep int) {
 	a.step = restartStep
 }
 
-// Save persists the online network weights.
-func (a *Agent) Save(w io.Writer) error { return nn.Save(w, a.online.Params()) }
-
-// Load restores online weights from r and syncs the target network.
-func (a *Agent) Load(r io.Reader) error {
-	if err := nn.Load(r, a.online.Params()); err != nil {
-		return err
-	}
-	a.online.noteWeightsChanged()
+// CopyWeightsFrom copies src's online network weights into this agent's
+// online network and syncs the target network (the Sec. IV weight
+// transfer). Optimiser moments, replay and the ε position are untouched.
+// It panics if the two architectures differ.
+func (a *Agent) CopyWeightsFrom(src *Agent) {
+	a.online.CopyValuesFrom(src.online)
 	a.target.CopyValuesFrom(a.online)
-	return nil
 }
 
 // ReplayLen returns the number of stored transitions.

@@ -1,7 +1,6 @@
 package bdq
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -160,7 +159,7 @@ func TestAgentLearnsContextualBandit(t *testing.T) {
 	}
 }
 
-func TestAgentSaveLoadRoundtrip(t *testing.T) {
+func TestAgentCopyWeightsFrom(t *testing.T) {
 	a := NewAgent(testAgentConfig(3))
 	state := []float64{0.3, 0.6, 0.1, 0.9}
 	// Perturb weights via a few training steps.
@@ -169,23 +168,41 @@ func TestAgentSaveLoadRoundtrip(t *testing.T) {
 		flat := []int{acts[0][0], acts[0][1], acts[1][0], acts[1][1]}
 		a.Observe(replay.Transition{State: state, Actions: flat, Rewards: []float64{1, -1}, NextState: state})
 	}
-	var buf bytes.Buffer
-	if err := a.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	b := NewAgent(testAgentConfig(99))
-	if err := b.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
+	b.CopyWeightsFrom(a)
 	ga := a.SelectGreedy(state)
 	gb := b.SelectGreedy(state)
 	for k := range ga {
 		for d := range ga[k] {
 			if ga[k][d] != gb[k][d] {
-				t.Fatalf("greedy actions differ after load: %v vs %v", ga, gb)
+				t.Fatalf("greedy actions differ after copy: %v vs %v", ga, gb)
 			}
 		}
 	}
+}
+
+// TestAgentCopyWeightsFromSyncsTarget: a copy leaves both of the
+// receiver's networks bitwise equal to the donor's online network, and
+// a donor of another architecture panics.
+func TestAgentCopyWeightsFromSyncsTarget(t *testing.T) {
+	a, b := NewAgent(testAgentConfig(5)), NewAgent(testAgentConfig(77))
+	b.CopyWeightsFrom(a)
+	for i, p := range a.online.Params() {
+		for j, v := range p.Value.Data {
+			on, tg := b.online.Params()[i].Value.Data[j], b.target.Params()[i].Value.Data[j]
+			if math.Float64bits(on) != math.Float64bits(v) || math.Float64bits(tg) != math.Float64bits(v) {
+				t.Fatalf("%s[%d]: online %v target %v, donor %v", p.Name, j, on, tg, v)
+			}
+		}
+	}
+	cfg := testAgentConfig(6)
+	cfg.Spec.SharedHidden = []int{24, 8}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyWeightsFrom across architectures did not panic")
+		}
+	}()
+	b.CopyWeightsFrom(NewAgent(cfg))
 }
 
 func TestAgentTransferResetsExploration(t *testing.T) {

@@ -2,6 +2,7 @@ package bdq
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"github.com/twig-sched/twig/internal/mat"
@@ -158,7 +159,9 @@ func (p *AgentPool) Members() int {
 
 // Close drains the member out of the pool. The agent remains fully
 // usable and checkpointable standalone; the handle panics on any further
-// pooled operation. Idempotent.
+// pooled operation. The pool keeps no reference to the member, so once
+// its owner lets go its replay buffer and packed panels are collectable.
+// Idempotent.
 func (pa *PooledAgent) Close() {
 	p := pa.pool
 	p.mu.Lock()
@@ -167,11 +170,14 @@ func (pa *PooledAgent) Close() {
 		return
 	}
 	pa.closed = true
-	for i, m := range p.members {
-		if m == pa {
-			p.members = append(p.members[:i], p.members[i+1:]...)
-			break
-		}
+	// slices.Delete zeroes the vacated tail slot, so the backing array
+	// drops pa too.
+	if i := slices.Index(p.members, pa); i >= 0 {
+		p.members = slices.Delete(p.members, i, i+1)
+	}
+	clear(p.selScratch[:cap(p.selScratch)])
+	for _, ws := range p.stack {
+		ws.forget(pa)
 	}
 }
 
@@ -480,6 +486,21 @@ func (ws *stackWS) refreshLayerGroups(members []*PooledAgent, pks []*netPack, la
 		ws.lgEpochs[s] = pks[s].epoch
 	}
 	ws.lgValid = true
+}
+
+// forget invalidates the layer-group cache if it was built against pa,
+// dropping every reference it holds to pa's agent and packed panels.
+func (ws *stackWS) forget(pa *PooledAgent) {
+	if !slices.Contains(ws.lgFor, pa) {
+		return
+	}
+	clear(ws.lgFor)
+	ws.lgFor = ws.lgFor[:0]
+	for _, g := range ws.lgGroups {
+		clear(g)
+	}
+	clear(ws.pks[:cap(ws.pks)])
+	ws.lgValid = false
 }
 
 // Pools is a registry of agent pools keyed by architecture, so fleet

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/checkpoint"
@@ -347,4 +348,66 @@ func TestPoolChurn(t *testing.T) {
 			use()
 		}()
 	}
+}
+
+// poolRefersTo reports where, if anywhere, the pool's own structures
+// (member list and flush scratch with their backing arrays, per-row-count
+// workspaces and their layer-group caches) still reach pa.
+func poolRefersTo(p *AgentPool, pa *PooledAgent) string {
+	if slices.Contains(p.members[:cap(p.members)], pa) || slices.Contains(p.selScratch[:cap(p.selScratch)], pa) {
+		return "member list or flush scratch"
+	}
+	first := pa.Agent.online.Denses()[0].Pack()
+	for rows, ws := range p.stack {
+		if slices.Contains(ws.lgFor[:cap(ws.lgFor)], pa) || slices.Contains(ws.pks[:cap(ws.pks)], pa.pack) {
+			return fmt.Sprintf("stack[%d] member cache", rows)
+		}
+		for _, g := range ws.lgGroups[0][:cap(ws.lgGroups[0])] {
+			if g.Packed == first {
+				return fmt.Sprintf("stack[%d] layer groups", rows)
+			}
+		}
+	}
+	return ""
+}
+
+// TestPoolCloseForgetsMember: after Close no pool structure refers to
+// the drained member, so its replay buffer and packed panels are not
+// kept alive by cached workspaces; survivors still run bit-identically
+// to their solo twins.
+func TestPoolCloseForgetsMember(t *testing.T) {
+	pool := NewAgentPool()
+	pooled := []*PooledAgent{
+		pool.Attach(NewAgent(poolTestCfg(1))),
+		pool.Attach(NewAgent(poolTestCfg(2))),
+		pool.Attach(NewAgent(poolTestCfg(3))),
+	}
+	solos := []*Agent{NewAgent(poolTestCfg(1)), NewAgent(poolTestCfg(2)), NewAgent(poolTestCfg(3))}
+	drive(t, solos, pooled, pool, 12, 0, 0)
+	// A two-row flush too, so two workspaces cache the member.
+	for _, i := range []int{0, 2} {
+		pooled[i].QueueSelect(testState(12, i, 12), true)
+	}
+	pool.FlushStep()
+	for _, i := range []int{0, 2} {
+		pooled[i].TakeActions()
+		if where := poolRefersTo(pool, pooled[i]); where == "" {
+			t.Fatalf("member %d not cached before Close: the check would be vacuous", i)
+		}
+	}
+
+	// Close the tail member, then the head.
+	for _, i := range []int{2, 0} {
+		pooled[i].Close()
+		if where := poolRefersTo(pool, pooled[i]); where != "" {
+			t.Fatalf("closed member %d still reachable from %s", i, where)
+		}
+	}
+	if pool.Members() != 1 {
+		t.Fatalf("Members() = %d, want 1", pool.Members())
+	}
+	// The two-row workspace is rebuilt for the survivor and a newcomer,
+	// which still run bit-identically to their solo twins.
+	newcomer := pool.Attach(NewAgent(poolTestCfg(4)))
+	drive(t, []*Agent{solos[1], NewAgent(poolTestCfg(4))}, []*PooledAgent{pooled[1], newcomer}, pool, 6, 13, 0)
 }

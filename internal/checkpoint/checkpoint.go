@@ -17,9 +17,8 @@ package checkpoint
 
 import "fmt"
 
-// Magic identifies a checkpoint file. Legacy weight-only files (raw gob)
-// cannot begin with these bytes, so the two formats are distinguishable
-// from the first read.
+// Magic identifies a checkpoint file: every file this package writes
+// begins with these bytes.
 const Magic = "TWIGCKPT"
 
 // Version is the current container format version. Decoding a file with

@@ -55,8 +55,8 @@ func EncodeFile(version uint32, sections []Section) []byte {
 }
 
 // IsCheckpoint reports whether data begins with the checkpoint magic —
-// the probe that distinguishes the container from legacy gob weight
-// files without attempting a full decode.
+// the probe that rejects a file that is not a checkpoint without
+// attempting a full decode.
 func IsCheckpoint(data []byte) bool {
 	return len(data) >= len(Magic) && string(data[:len(Magic)]) == Magic
 }

@@ -29,7 +29,6 @@ import (
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/metrics"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
@@ -113,11 +112,6 @@ type Config struct {
 	// the node's derived seed. Empty keeps every node on the default
 	// paper SKU.
 	NodeSims []sim.Config
-	// FastMath opts the process into the fused FMA/AVX-512 GEMM kernels
-	// (mat.SetFastMath). Fast mode forfeits bit-identical resume and
-	// cross-machine reproducibility; checkpoint formats and the default
-	// path are unchanged. A no-op on CPUs without FMA.
-	FastMath bool
 }
 
 func (c *Config) normalize() {
@@ -207,9 +201,6 @@ type Coordinator struct {
 // New builds a coordinator over an empty fleet.
 func New(cfg Config) (*Coordinator, error) {
 	cfg.normalize()
-	if cfg.FastMath {
-		mat.SetFastMath(true)
-	}
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("cluster: at least one node required")
 	}

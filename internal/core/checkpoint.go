@@ -201,8 +201,8 @@ func (m *Manager) DecodeState(d *checkpoint.Decoder) error {
 
 // SaveCheckpoint writes a standalone manager checkpoint in the versioned
 // container format — the learning state plus everything Decide carries
-// between intervals. Unlike Save (legacy gob weights), a restored
-// checkpoint continues training bit-identically.
+// between intervals. A restored checkpoint continues training
+// bit-identically.
 func (m *Manager) SaveCheckpoint(w io.Writer) error {
 	_, err := w.Write(checkpoint.Marshal(m))
 	return err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"github.com/twig-sched/twig/internal/bdq"
 	"github.com/twig-sched/twig/internal/ctrl"
@@ -360,8 +359,7 @@ func (m *Manager) ResetLearningState() {
 	m.prevActions = nil
 }
 
-// Save persists the learned network weights.
-func (m *Manager) Save(w io.Writer) error { return m.agent.Save(w) }
-
-// Load restores network weights saved by Save.
-func (m *Manager) Load(r io.Reader) error { return m.agent.Load(r) }
+// CopyWeightsFrom copies src's learned network weights into this
+// manager's agent (see bdq.Agent.CopyWeightsFrom). It panics if the two
+// architectures differ.
+func (m *Manager) CopyWeightsFrom(src *Manager) { m.agent.CopyWeightsFrom(src.agent) }

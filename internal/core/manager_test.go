@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"github.com/twig-sched/twig/internal/bdq"
@@ -174,19 +173,13 @@ func TestManagerTransferClearsState(t *testing.T) {
 	}
 }
 
-func TestManagerSaveLoad(t *testing.T) {
+func TestManagerCopyWeightsFrom(t *testing.T) {
 	m := smallManager(1)
 	for i := 0; i < 30; i++ {
 		m.Decide(obsFor(1, 3))
 	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
 	m2 := smallManager(1)
-	if err := m2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
+	m2.CopyWeightsFrom(m)
 	// Same greedy decision on an identical state.
 	st := make([]float64, 11)
 	for i := range st {
@@ -195,7 +188,7 @@ func TestManagerSaveLoad(t *testing.T) {
 	g1 := m.Agent().SelectGreedy(st)
 	g2 := m2.Agent().SelectGreedy(st)
 	if g1[0][0] != g2[0][0] || g1[0][1] != g2[0][1] {
-		t.Fatal("loaded manager decides differently")
+		t.Fatal("copied manager decides differently")
 	}
 }
 

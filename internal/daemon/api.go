@@ -28,13 +28,11 @@ type status struct {
 	// Resumed is the checkpoint sequence the daemon restored from
 	// (absent for a fresh start).
 	Resumed uint64 `json:"resumed_from,omitempty"`
-	// Kernel, CPUFeatures and FastMath record the GEMM dispatch
-	// provenance: the selected microkernel flavour, the CPU features the
-	// build detected, and whether the fused fast-math kernels are active
-	// (which forfeits bit-identical resume).
+	// Kernel and CPUFeatures record the GEMM dispatch provenance: the
+	// selected microkernel flavour and the CPU features the build
+	// detected.
 	Kernel      string `json:"kernel"`
 	CPUFeatures string `json:"cpu_features"`
-	FastMath    bool   `json:"fast_math"`
 }
 
 type serviceStatus struct {
@@ -56,7 +54,6 @@ func (e *Engine) Status() status {
 		Resumed:     e.resumed,
 		Kernel:      mat.KernelName(),
 		CPUFeatures: mat.CPUFeatures(),
-		FastMath:    mat.FastMath(),
 	}
 	if e.haveRes {
 		s.Time = e.lastRes.Time

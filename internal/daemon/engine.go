@@ -14,7 +14,6 @@ import (
 	"github.com/twig-sched/twig/internal/core"
 	"github.com/twig-sched/twig/internal/ctrl"
 	"github.com/twig-sched/twig/internal/experiments"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/faults"
 	"github.com/twig-sched/twig/internal/sim/loadgen"
@@ -101,12 +100,6 @@ type Config struct {
 	PatternOverrides map[string]loadgen.Pattern
 	// Now is the wall clock used for timing metrics (nil means time.Now).
 	Now func() time.Time
-	// FastMath opts the process into the fused FMA/AVX-512 GEMM kernels
-	// (mat.SetFastMath). Fast mode forfeits bit-identical resume and
-	// cross-machine reproducibility — a checkpoint taken under fast math
-	// replays with trailing-ulp drift — but the checkpoint format and the
-	// default path are unchanged. A no-op on CPUs without FMA.
-	FastMath bool
 }
 
 func (c *Config) normalize() {
@@ -129,12 +122,12 @@ func (c Config) faultsArmed() bool { return c.Faults != nil && !c.Faults.IsZero(
 // entry is one registered service: its lifecycle plus everything needed
 // to rebuild its spec and load pattern deterministically after a crash.
 type entry struct {
-	lc       *Lifecycle
-	name     string
-	load     float64
-	pattern  string
-	qosMs    float64
-	seed     int64
+	lc         *Lifecycle
+	name       string
+	load       float64
+	pattern    string
+	qosMs      float64
+	seed       int64
 	pat        loadgen.Pattern
 	inSim      bool   // currently hosted by the simulator
 	remove     bool   // deregister once terminal
@@ -194,9 +187,6 @@ type Engine struct {
 // first Step already drives a running system.
 func New(cfg Config, initial []AdmitRequest) (*Engine, error) {
 	cfg.normalize()
-	if cfg.FastMath {
-		mat.SetFastMath(true)
-	}
 	if len(initial) == 0 {
 		return nil, fmt.Errorf("daemon: at least one initial service required")
 	}

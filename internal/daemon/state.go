@@ -6,7 +6,6 @@ import (
 
 	"github.com/twig-sched/twig/internal/checkpoint"
 	"github.com/twig-sched/twig/internal/ctrl"
-	"github.com/twig-sched/twig/internal/mat"
 	"github.com/twig-sched/twig/internal/sim"
 	"github.com/twig-sched/twig/internal/sim/service"
 )
@@ -177,12 +176,6 @@ func (e *Engine) marshal() []byte {
 // regardless of how the membership evolved before the cut.
 func RestoreLatest(cfg Config) (*Engine, uint64, error) {
 	cfg.normalize()
-	if cfg.FastMath {
-		// Applied before any weight math runs; the restored run drifts by
-		// trailing ulps from the checkpointed trajectory (documented
-		// fast-math contract).
-		mat.SetFastMath(true)
-	}
 	if cfg.Store == nil {
 		return nil, 0, ErrNoStore
 	}

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -44,11 +43,10 @@ func (e *Engine) describeMetrics() {
 	m.Describe("twigd_checkpoint_write_seconds", "gauge", "Wall-clock cost of the most recent checkpoint write.")
 	m.Describe("twigd_checkpoint_age_seconds", "gauge", "Wall-clock age of the newest durable checkpoint.")
 	m.Describe("twigd_control_interval_seconds", "gauge", "Wall-clock cost of the most recent control interval.")
-	m.Describe("twigd_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel, detected CPU features and fast-math state (value is always 1).")
+	m.Describe("twigd_kernel_info", "gauge", "GEMM dispatch provenance: selected microkernel and detected CPU features (value is always 1).")
 	m.Set("twigd_kernel_info", Labels{
-		"kernel":    mat.KernelName(),
-		"cpu":       mat.CPUFeatures(),
-		"fast_math": fmt.Sprintf("%v", mat.FastMath()),
+		"kernel": mat.KernelName(),
+		"cpu":    mat.CPUFeatures(),
 	}, 1)
 }
 

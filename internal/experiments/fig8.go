@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
@@ -52,12 +51,6 @@ func Fig8(sc Scale, seed int64) Fig8Result {
 		Seconds:      sc.LearnS,
 		SummaryFromS: sc.LearnS - 1,
 	})
-	var weights bytes.Buffer
-	if err := donorMgr.Save(&weights); err != nil {
-		panic(err)
-	}
-	saved := weights.Bytes()
-
 	total := sc.LearnS + sc.SummaryS
 	bucket := total / 12
 	res := Fig8Result{Donor: donor, BucketS: bucket}
@@ -102,13 +95,12 @@ func Fig8(sc Scale, seed int64) Fig8Result {
 		scratch := NewTwig(scratchSrv, sc, seed+1, target)
 		tt.Scratch, tt.ScratchTo80, tt.ScratchTardiness = runCurve(scratch, scratchSrv)
 
-		// With transfer: load donor weights, re-init the output layers,
-		// restart ε at the mid point ("retrain for a short interval").
+		// With transfer: copy the donor weights, re-init the output
+		// layers, restart ε at the mid point ("retrain for a short
+		// interval").
 		xferSrv := NewServer(seed+10, target)
 		xfer := NewTwig(xferSrv, sc, seed+2, target)
-		if err := xfer.Load(bytes.NewReader(saved)); err != nil {
-			panic(err)
-		}
+		xfer.CopyWeightsFrom(donorMgr)
 		xfer.Transfer(sc.Epsilon.MidStep)
 		tt.Transfer, tt.TransferTo80, tt.TransferTardiness = runCurve(xfer, xferSrv)
 

@@ -2,6 +2,8 @@
 
 package mat
 
+import "os"
+
 // The AVX2 microkernels compute mr×nr (or 1×nr) destination tiles over
 // the full k depth with one accumulator register chain per 4-lane column
 // group. Each term is a VMULPD followed by a VADDPD — two individually
@@ -12,26 +14,13 @@ package mat
 // term like Dot.
 
 // haveAVX2 gates the assembly microkernels; the portable kernRowGo path
-// (bitwise identical) is used when false. Tests flip it to cover both.
-var haveAVX2 = cpuHasAVX2()
-
-// haveFMA and haveAVX512 gate the opt-in fast-math kernels (see
-// SetFastMath). They are detection state only: no fast kernel runs
-// unless fastMath is also enabled. The AVX-512 kernels use FMA, so
-// disabling FMA (TWIG_DISABLE_FMA) disables both.
-var (
-	haveFMA    = cpuHasFMA()
-	haveAVX512 = cpuHasAVX512()
-)
+// (bitwise identical) is used when false. Tests flip it to cover both,
+// and TWIG_DISABLE_AVX2 forces the portable path (the CI kernel-fallback
+// job runs the bit-exactness suites under it).
+var haveAVX2 = cpuHasAVX2() && os.Getenv("TWIG_DISABLE_AVX2") == ""
 
 // cpuHasAVX2 reports AVX2 support with OS-enabled YMM state.
 func cpuHasAVX2() bool
-
-// cpuHasFMA reports FMA3 support with OS-enabled YMM state.
-func cpuHasFMA() bool
-
-// cpuHasAVX512 reports AVX512F support with OS-enabled ZMM/opmask state.
-func cpuHasAVX512() bool
 
 //go:noescape
 func kern4x8s(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
@@ -50,27 +39,3 @@ func kernRowPanelsS(k, panels int, a0, panel, acc *float64)
 
 //go:noescape
 func kernRowPanelsN(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
-
-//go:noescape
-func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64)
-
-//go:noescape
-func kern1x8sF(k int, a0, panel *float64, acc *[nr]float64)
-
-//go:noescape
-func kern1x8nF(k int, a0, panel *float64, acc *[nr]float64)
-
-//go:noescape
-func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kernRowPanelsNF(k, panels int, a0, panel, acc *float64)
-
-//go:noescape
-func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)
-
-//go:noescape
-func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64)

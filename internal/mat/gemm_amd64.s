@@ -313,461 +313,3 @@ done1n:
 	VMOVUPD Y5, 32(DI)
 	VZEROUPPER
 	RET
-
-// ---------------------------------------------------------------------------
-// Opt-in fast-math kernels (SetFastMath). Each VMULPD/VADDPD pair above
-// becomes a single VFMADD231PD: the product feeds the add with one
-// rounding instead of two, so results differ from the default kernels in
-// the last ulps but keep the same ascending-k accumulation order and the
-// same zero-skip semantics (skip only ±0, never NaN). The 8×8 ZMM tile
-// additionally widens a panel step to one embedded-broadcast FMA per
-// destination row. None of these run unless mat.SetFastMath(true) AND
-// the CPU reports the feature with OS-enabled state.
-
-// func cpuHasFMA() bool
-TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	ANDL $(1<<27 | 1<<28 | 1<<12), R8 // OSXSAVE | AVX | FMA
-	CMPL R8, $(1<<27 | 1<<28 | 1<<12)
-	JNE  nofma
-	XORL CX, CX
-	XGETBV                    // XCR0 → DX:AX
-	ANDL $6, AX
-	CMPL AX, $6               // XMM and YMM state OS-enabled
-	JNE  nofma
-	MOVB $1, ret+0(FP)
-	RET
-nofma:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func cpuHasAVX512() bool
-TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, R8
-	ANDL $(1<<27 | 1<<28), R8 // OSXSAVE | AVX
-	CMPL R8, $(1<<27 | 1<<28)
-	JNE  no512
-	XORL CX, CX
-	XGETBV                    // XCR0 → DX:AX
-	ANDL $0xE6, AX
-	CMPL AX, $0xE6            // XMM | YMM | opmask | ZMM_Hi256 | Hi16_ZMM
-	JNE  no512
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	TESTL $(1<<16), BX        // AVX512F
-	JZ   no512
-	MOVB $1, ret+0(FP)
-	RET
-no512:
-	MOVB $0, ret+0(FP)
-	RET
-
-// func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8sF(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   done4sf
-loop4sf:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   r1sf
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD Y0, Y2, Y4
-	VFMADD231PD Y1, Y2, Y5
-r1sf:
-	MOVQ (R9), AX
-	ADDQ AX, AX
-	JZ   r2sf
-	VBROADCASTSD (R9), Y2
-	VFMADD231PD Y0, Y2, Y6
-	VFMADD231PD Y1, Y2, Y7
-r2sf:
-	MOVQ (R10), AX
-	ADDQ AX, AX
-	JZ   r3sf
-	VBROADCASTSD (R10), Y2
-	VFMADD231PD Y0, Y2, Y8
-	VFMADD231PD Y1, Y2, Y9
-r3sf:
-	MOVQ (R11), AX
-	ADDQ AX, AX
-	JZ   nextsf
-	VBROADCASTSD (R11), Y2
-	VFMADD231PD Y0, Y2, Y10
-	VFMADD231PD Y1, Y2, Y11
-nextsf:
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop4sf
-done4sf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
-	VMOVUPD Y8, 128(DI)
-	VMOVUPD Y9, 160(DI)
-	VMOVUPD Y10, 192(DI)
-	VMOVUPD Y11, 224(DI)
-	VZEROUPPER
-	RET
-
-// func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[32]float64)
-TEXT ·kern4x8nF(SB), NOSPLIT, $0-56
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ panel+40(FP), SI
-	MOVQ acc+48(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	TESTQ CX, CX
-	JZ   done4nf
-loop4nf:
-	VMOVUPD (SI), Y0
-	VMOVUPD 32(SI), Y1
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD Y0, Y2, Y4
-	VFMADD231PD Y1, Y2, Y5
-	VBROADCASTSD (R9), Y2
-	VFMADD231PD Y0, Y2, Y6
-	VFMADD231PD Y1, Y2, Y7
-	VBROADCASTSD (R10), Y2
-	VFMADD231PD Y0, Y2, Y8
-	VFMADD231PD Y1, Y2, Y9
-	VBROADCASTSD (R11), Y2
-	VFMADD231PD Y0, Y2, Y10
-	VFMADD231PD Y1, Y2, Y11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop4nf
-done4nf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VMOVUPD Y6, 64(DI)
-	VMOVUPD Y7, 96(DI)
-	VMOVUPD Y8, 128(DI)
-	VMOVUPD Y9, 160(DI)
-	VMOVUPD Y10, 192(DI)
-	VMOVUPD Y11, 224(DI)
-	VZEROUPPER
-	RET
-
-// func kern1x8sF(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8sF(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	TESTQ CX, CX
-	JZ   done1sf
-loop1sf:
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   next1sf
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-next1sf:
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop1sf
-done1sf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VZEROUPPER
-	RET
-
-// func kern1x8nF(k int, a0, panel *float64, acc *[8]float64)
-TEXT ·kern1x8nF(SB), NOSPLIT, $0-32
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ panel+16(FP), SI
-	MOVQ acc+24(FP), DI
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	TESTQ CX, CX
-	JZ   done1nf
-loop1nf:
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop1nf
-done1nf:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	VZEROUPPER
-	RET
-
-// func kernRowPanelsSF(k, panels int, a0, panel, acc *float64)
-//
-// FMA twin of kernRowPanelsS: same fused multi-panel row sweep and
-// zero-skip, one rounding per term.
-TEXT ·kernRowPanelsSF(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), BX
-	MOVQ panels+8(FP), R9
-	MOVQ a0+16(FP), R10
-	MOVQ panel+24(FP), SI
-	MOVQ acc+32(FP), DI
-	TESTQ R9, R9
-	JZ   doneRSF
-panelRSF:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	MOVQ R10, R8
-	MOVQ BX, CX
-	TESTQ CX, CX
-	JZ   flushRSF
-loopRSF:
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   nextRSF
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-nextRSF:
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loopRSF
-flushRSF:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  panelRSF
-doneRSF:
-	VZEROUPPER
-	RET
-
-// func kernRowPanelsNF(k, panels int, a0, panel, acc *float64)
-//
-// FMA twin of kernRowPanelsN (no zero-skip).
-TEXT ·kernRowPanelsNF(SB), NOSPLIT, $0-40
-	MOVQ k+0(FP), BX
-	MOVQ panels+8(FP), R9
-	MOVQ a0+16(FP), R10
-	MOVQ panel+24(FP), SI
-	MOVQ acc+32(FP), DI
-	TESTQ R9, R9
-	JZ   doneRNF
-panelRNF:
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	MOVQ R10, R8
-	MOVQ BX, CX
-	TESTQ CX, CX
-	JZ   flushRNF
-loopRNF:
-	VBROADCASTSD (R8), Y2
-	VFMADD231PD (SI), Y2, Y4
-	VFMADD231PD 32(SI), Y2, Y5
-	ADDQ $8, R8
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loopRNF
-flushRNF:
-	VMOVUPD Y4, (DI)
-	VMOVUPD Y5, 32(DI)
-	ADDQ $64, DI
-	DECQ R9
-	JNZ  panelRNF
-doneRNF:
-	VZEROUPPER
-	RET
-
-// func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-//
-// AVX-512 8×8 tile: one ZMM accumulator per destination row covers the
-// whole 8-wide panel, one embedded-broadcast FMA per (row, k) step.
-// Zero-skip per a element, like kern4x8s. R14/R15 are left alone (g
-// register / linker scratch); the eight row pointers live in
-// R8-R13, BX, DX.
-TEXT ·kern8x8sZ(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), BX
-	MOVQ a7+64(FP), DX
-	MOVQ panel+72(FP), SI
-	MOVQ acc+80(FP), DI
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   done8sz
-loop8sz:
-	VMOVUPD (SI), Z0
-	MOVQ (R8), AX
-	ADDQ AX, AX
-	JZ   z1s
-	VFMADD231PD.BCST (R8), Z0, Z4
-z1s:
-	MOVQ (R9), AX
-	ADDQ AX, AX
-	JZ   z2s
-	VFMADD231PD.BCST (R9), Z0, Z5
-z2s:
-	MOVQ (R10), AX
-	ADDQ AX, AX
-	JZ   z3s
-	VFMADD231PD.BCST (R10), Z0, Z6
-z3s:
-	MOVQ (R11), AX
-	ADDQ AX, AX
-	JZ   z4s
-	VFMADD231PD.BCST (R11), Z0, Z7
-z4s:
-	MOVQ (R12), AX
-	ADDQ AX, AX
-	JZ   z5s
-	VFMADD231PD.BCST (R12), Z0, Z8
-z5s:
-	MOVQ (R13), AX
-	ADDQ AX, AX
-	JZ   z6s
-	VFMADD231PD.BCST (R13), Z0, Z9
-z6s:
-	MOVQ (BX), AX
-	ADDQ AX, AX
-	JZ   z7s
-	VFMADD231PD.BCST (BX), Z0, Z10
-z7s:
-	MOVQ (DX), AX
-	ADDQ AX, AX
-	JZ   next8sz
-	VFMADD231PD.BCST (DX), Z0, Z11
-next8sz:
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, BX
-	ADDQ $8, DX
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop8sz
-done8sz:
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
-	VZEROUPPER
-	RET
-
-// func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[64]float64)
-//
-// The no-skip twin of kern8x8sZ.
-TEXT ·kern8x8nZ(SB), NOSPLIT, $0-88
-	MOVQ k+0(FP), CX
-	MOVQ a0+8(FP), R8
-	MOVQ a1+16(FP), R9
-	MOVQ a2+24(FP), R10
-	MOVQ a3+32(FP), R11
-	MOVQ a4+40(FP), R12
-	MOVQ a5+48(FP), R13
-	MOVQ a6+56(FP), BX
-	MOVQ a7+64(FP), DX
-	MOVQ panel+72(FP), SI
-	MOVQ acc+80(FP), DI
-	VPXORQ Z4, Z4, Z4
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	VPXORQ Z7, Z7, Z7
-	VPXORQ Z8, Z8, Z8
-	VPXORQ Z9, Z9, Z9
-	VPXORQ Z10, Z10, Z10
-	VPXORQ Z11, Z11, Z11
-	TESTQ CX, CX
-	JZ   done8nz
-loop8nz:
-	VMOVUPD (SI), Z0
-	VFMADD231PD.BCST (R8), Z0, Z4
-	VFMADD231PD.BCST (R9), Z0, Z5
-	VFMADD231PD.BCST (R10), Z0, Z6
-	VFMADD231PD.BCST (R11), Z0, Z7
-	VFMADD231PD.BCST (R12), Z0, Z8
-	VFMADD231PD.BCST (R13), Z0, Z9
-	VFMADD231PD.BCST (BX), Z0, Z10
-	VFMADD231PD.BCST (DX), Z0, Z11
-	ADDQ $8, R8
-	ADDQ $8, R9
-	ADDQ $8, R10
-	ADDQ $8, R11
-	ADDQ $8, R12
-	ADDQ $8, R13
-	ADDQ $8, BX
-	ADDQ $8, DX
-	ADDQ $64, SI
-	DECQ CX
-	JNZ  loop8nz
-done8nz:
-	VMOVUPD Z4, (DI)
-	VMOVUPD Z5, 64(DI)
-	VMOVUPD Z6, 128(DI)
-	VMOVUPD Z7, 192(DI)
-	VMOVUPD Z8, 256(DI)
-	VMOVUPD Z9, 320(DI)
-	VMOVUPD Z10, 384(DI)
-	VMOVUPD Z11, 448(DI)
-	VZEROUPPER
-	RET

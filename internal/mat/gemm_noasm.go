@@ -3,14 +3,8 @@
 package mat
 
 // Non-amd64 builds use the portable kernRowGo microkernel exclusively;
-// it is bitwise identical to the AVX2 path (see gemm_amd64.go). The
-// fast-math kernels (SetFastMath) are amd64-only, so fast mode is a
-// no-op here.
-var (
-	haveAVX2   = false
-	haveFMA    = false
-	haveAVX512 = false
-)
+// it is bitwise identical to the AVX2 path (see gemm_amd64.go).
+var haveAVX2 = false
 
 func kern4x8s(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
@@ -33,37 +27,5 @@ func kernRowPanelsS(k, panels int, a0, panel, acc *float64) {
 }
 
 func kernRowPanelsN(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern4x8sF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern4x8nF(k int, a0, a1, a2, a3, panel *float64, acc *[mr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern1x8sF(k int, a0, panel *float64, acc *[nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern1x8nF(k int, a0, panel *float64, acc *[nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kernRowPanelsSF(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kernRowPanelsNF(k, panels int, a0, panel, acc *float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern8x8sZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
-	panic("mat: asm kernel on non-amd64")
-}
-
-func kern8x8nZ(k int, a0, a1, a2, a3, a4, a5, a6, a7, panel *float64, acc *[zr * nr]float64) {
 	panic("mat: asm kernel on non-amd64")
 }

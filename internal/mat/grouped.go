@@ -167,20 +167,25 @@ func PackedDispatch(m, k, n int) DispatchInfo {
 // reports.
 func MinPackRows() int { return minPackRows }
 
-// KernelName names the microkernel implementation dispatch currently
-// selects: "portable" (pure-Go fallback), "avx2" (default bit-exact
-// assembly), or — with SetFastMath(true) on capable hardware —
-// "avx2-fma" / "avx512f-fma". Benchmark reports record it so baselines
-// from different machines and modes are comparable.
+// KernelName names the microkernel implementation dispatch selects:
+// "avx2" (the bit-exact assembly) or "portable" (the pure-Go fallback,
+// bitwise identical). Benchmark reports record it.
 func KernelName() string {
-	switch {
-	case !haveAVX2:
-		return "portable"
-	case fastMath && haveAVX512:
-		return "avx512f-fma"
-	case fastMath && haveFMA:
-		return "avx2-fma"
-	default:
+	if haveAVX2 {
 		return "avx2"
 	}
+	return "portable"
 }
+
+// CPUFeatures reports the SIMD extension GEMM dispatch uses, after the
+// TWIG_DISABLE_AVX2 override: "avx2" or "none".
+func CPUFeatures() string {
+	if haveAVX2 {
+		return "avx2"
+	}
+	return "none"
+}
+
+// FastMath always reports false: every product is bit-exact. It is
+// kept only because benchmark reports still carry a fast_math field.
+func FastMath() bool { return false }

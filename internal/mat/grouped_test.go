@@ -164,3 +164,16 @@ func TestRowsView(t *testing.T) {
 		t.Error("FromSlice does not share storage")
 	}
 }
+
+// TestKernelNameProvenance pins the dispatch and CPU-feature strings
+// for both kernel selections.
+func TestKernelNameProvenance(t *testing.T) {
+	saved := haveAVX2
+	defer func() { haveAVX2 = saved }()
+	for avx2, want := range map[bool][2]string{false: {"portable", "none"}, true: {"avx2", "avx2"}} {
+		haveAVX2 = avx2
+		if got := [2]string{KernelName(), CPUFeatures()}; got != want || FastMath() {
+			t.Errorf("avx2=%v: KernelName, CPUFeatures = %q, FastMath = %v; want %q, false", avx2, got, FastMath(), want)
+		}
+	}
+}

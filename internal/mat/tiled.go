@@ -116,37 +116,6 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 	panels := (n + nr - 1) / nr
 	i := r0
 	if haveAVX2 {
-		if fastZMM() {
-			// Fast mode, AVX-512: 8-row ZMM tiles first, leftovers fall
-			// through to the 4-row (FMA) loop below.
-			var accZ [zr * nr]float64
-			for ; i+zr <= r1; i += zr {
-				a0 := &a.Data[i*k]
-				a1 := &a.Data[(i+1)*k]
-				a2 := &a.Data[(i+2)*k]
-				a3 := &a.Data[(i+3)*k]
-				a4 := &a.Data[(i+4)*k]
-				a5 := &a.Data[(i+5)*k]
-				a6 := &a.Data[(i+6)*k]
-				a7 := &a.Data[(i+7)*k]
-				for p := 0; p < panels; p++ {
-					if skip {
-						kern8x8sZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
-					} else {
-						kern8x8nZ(k, a0, a1, a2, a3, a4, a5, a6, a7, &bp[p*nr*k], &accZ)
-					}
-					j0 := p * nr
-					w := n - j0
-					if w > nr {
-						w = nr
-					}
-					for r := 0; r < zr; r++ {
-						storeTile(dst.Row(i+r)[j0:j0+w], accZ[r*nr:], accumulate, bias, act, j0)
-					}
-				}
-			}
-		}
-		fastF := fastFMA()
 		var acc [mr * nr]float64
 		for ; i+mr <= r1; i += mr {
 			a0 := &a.Data[i*k]
@@ -154,14 +123,9 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 			a2 := &a.Data[(i+2)*k]
 			a3 := &a.Data[(i+3)*k]
 			for p := 0; p < panels; p++ {
-				switch {
-				case skip && fastF:
-					kern4x8sF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				case skip:
+				if skip {
 					kern4x8s(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				case fastF:
-					kern4x8nF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				default:
+				} else {
 					kern4x8n(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
 				}
 				j0 := p * nr
@@ -170,9 +134,9 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 					w = nr
 				}
 				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+1)[j0:j0+w], acc[nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+2)[j0:j0+w], acc[2*nr:], accumulate, bias, act, j0)
-				storeTile(dst.Row(i+3)[j0:j0+w], acc[3*nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, bias, act, j0)
+				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, bias, act, j0)
 			}
 		}
 	}
@@ -192,14 +156,9 @@ func gemmPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, skip, accumulate 
 func gemmPackedRowFused(drow, arow, bp, rowAcc []float64, k, n int, skip, accumulate bool, bias []float64, act Activation) {
 	panels := (n + nr - 1) / nr
 	if haveAVX2 {
-		switch fastF := fastFMA(); {
-		case skip && fastF:
-			kernRowPanelsSF(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		case skip:
+		if skip {
 			kernRowPanelsS(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		case fastF:
-			kernRowPanelsNF(k, panels, &arow[0], &bp[0], &rowAcc[0])
-		default:
+		} else {
 			kernRowPanelsN(k, panels, &arow[0], &bp[0], &rowAcc[0])
 		}
 	} else {
@@ -253,14 +212,9 @@ func gemmPackedRow(drow, arow, bp []float64, k, n int, skip, accumulate bool, bi
 	ap := &arow[0]
 	for p := 0; p < panels; p++ {
 		if haveAVX2 {
-			switch fastF := fastFMA(); {
-			case skip && fastF:
-				kern1x8sF(k, ap, &bp[p*nr*k], &acc)
-			case skip:
+			if skip {
 				kern1x8s(k, ap, &bp[p*nr*k], &acc)
-			case fastF:
-				kern1x8nF(k, ap, &bp[p*nr*k], &acc)
-			default:
+			} else {
 				kern1x8n(k, ap, &bp[p*nr*k], &acc)
 			}
 		} else {
@@ -440,7 +394,6 @@ func gemmTransAPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, accumulate 
 	cb := GetScratch(mr, k)
 	i := r0
 	if haveAVX2 {
-		fastF := fastFMA()
 		var acc [mr * nr]float64
 		n := dst.Cols
 		panels := (n + nr - 1) / nr
@@ -450,20 +403,16 @@ func gemmTransAPackedRange(dst, a *Matrix, bp []float64, r0, r1 int, accumulate 
 			}
 			a0, a1, a2, a3 := &cb.Data[0], &cb.Data[k], &cb.Data[2*k], &cb.Data[3*k]
 			for p := 0; p < panels; p++ {
-				if fastF {
-					kern4x8sF(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				} else {
-					kern4x8s(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
-				}
+				kern4x8s(k, a0, a1, a2, a3, &bp[p*nr*k], &acc)
 				j0 := p * nr
 				w := n - j0
 				if w > nr {
 					w = nr
 				}
 				storeTile(dst.Row(i)[j0:j0+w], acc[0:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+1)[j0:j0+w], acc[nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+2)[j0:j0+w], acc[2*nr:], accumulate, nil, ActIdentity, j0)
-				storeTile(dst.Row(i+3)[j0:j0+w], acc[3*nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 1)[j0:j0+w], acc[nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 2)[j0:j0+w], acc[2*nr:], accumulate, nil, ActIdentity, j0)
+				storeTile(dst.Row(i + 3)[j0:j0+w], acc[3*nr:], accumulate, nil, ActIdentity, j0)
 			}
 		}
 	}
