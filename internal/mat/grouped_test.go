@@ -165,15 +165,29 @@ func TestRowsView(t *testing.T) {
 	}
 }
 
-// TestKernelNameProvenance pins the dispatch and CPU-feature strings
-// for both kernel selections.
+// TestKernelNameProvenance pins the dispatch strings for both kernel
+// selections.
 func TestKernelNameProvenance(t *testing.T) {
 	saved := haveAVX2
 	defer func() { haveAVX2 = saved }()
-	for avx2, want := range map[bool][2]string{false: {"portable", "none"}, true: {"avx2", "avx2"}} {
+	for avx2, want := range map[bool]string{false: "portable", true: "avx2"} {
 		haveAVX2 = avx2
-		if got := [2]string{KernelName(), CPUFeatures()}; got != want || FastMath() {
-			t.Errorf("avx2=%v: KernelName, CPUFeatures = %q, FastMath = %v; want %q, false", avx2, got, FastMath(), want)
+		if got := KernelName(); got != want || FastMath() {
+			t.Errorf("avx2=%v: KernelName = %q, FastMath = %v; want %q, false", avx2, got, FastMath(), want)
 		}
+	}
+}
+
+// TestCPUFeaturesString pins the provenance string shape.
+func TestCPUFeaturesString(t *testing.T) {
+	saved := haveAVX2
+	defer func() { haveAVX2 = saved }()
+	haveAVX2 = true
+	if got := CPUFeatures(); got != "avx2" {
+		t.Errorf("CPUFeatures = %q, want avx2", got)
+	}
+	haveAVX2 = false
+	if got := CPUFeatures(); got != "none" {
+		t.Errorf("CPUFeatures = %q, want none", got)
 	}
 }
